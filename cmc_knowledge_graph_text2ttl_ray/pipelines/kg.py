@@ -128,10 +128,6 @@ def run_kg_pipeline(
     ttl_compression: str | None = None,
     output_format: str = "turtle",
 ):
-    if output_format not in ("turtle", "nquads", "trig", "jsonld"):
-        raise ValueError(
-            f"output_format must be turtle|nquads|trig|jsonld, got "
-            f"{output_format!r}")
     """Run the full pipeline. Returns a dict with the key datasets/artifacts.
 
     With ``out_dir`` set, the extraction records are checkpointed to Parquet
@@ -148,6 +144,10 @@ def run_kg_pipeline(
     flipping to the fully-distributed join rewrite beyond it. Explicit
     ``"broadcast"`` / ``"join"`` still force a path.
     """
+    if output_format not in ("turtle", "nquads", "trig", "jsonld"):
+        raise ValueError(
+            f"output_format must be turtle|nquads|trig|jsonld, got "
+            f"{output_format!r}")
     plans = plans or default_plans()
     timings: dict[str, float] = {}
     t0 = time.perf_counter()

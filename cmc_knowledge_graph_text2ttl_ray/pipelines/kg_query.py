@@ -6,7 +6,7 @@ reference graphs (kg_text_to_ttl mapping lookups; reimplemented in
 conjunctive-pattern semantics: a SPARQL-style BGP evaluated over the
 MATERIALIZED triple table (the engine's own KG output, a ``ttl_dataset``
 read-back, or any Dataset in the pipeline's triple schema) with
-distributed hash joins — the post-construction query story of a
+distributed joins — the post-construction query story of a
 kg_construct engine.
 
 Semantics
@@ -24,12 +24,23 @@ Scale shape
   constants are pushed into a vectorized ``pyarrow.compute`` mask inside
   ``map_batches`` and only the variable columns survive, so what enters
   the joins is the few-column binding table, never full triple rows.
-- Patterns are joined with Ray-native distributed hash joins
-  (``Dataset.join``) on ALL shared variables, partition count derived
-  from the cluster (``default_join_partitions``).  Join order is chosen
-  by a selectivity heuristic (most-constant patterns first — a bound
-  predicate+object is the classic most-selective SPARQL access path),
-  then greedily by connectivity so no cross product is ever formed;
+- Patterns are joined on ALL shared variables through ONE solution
+  join (:func:`_solution_join`, also used by every SPARQL join in
+  ``sparql_dist.py``), in two tiers chosen by the row counts the
+  compaction step already has.  When the side that may be broadcast
+  (the smaller one for an inner join, the right one for OPTIONAL,
+  MINUS and EXISTS) has at most ``functions.cluster.BROADCAST_JOIN_ROWS``
+  rows, it is built once in the object store and every block of the
+  other side joins it with ``pa.Table.join`` — no shuffle, no
+  aggregator actors.  Above the gate both sides go through Ray's
+  distributed hash join (``Dataset.join``), partition count derived
+  from the smaller side and the cluster (``default_join_partitions``).
+  Both tiers make the same pyarrow join call, so they give the same
+  rows.  Join order is chosen by true cardinality (smallest binding
+  table first, then the smallest connected one); a selectivity
+  heuristic (most-constant patterns first — a bound predicate+object
+  is the classic most-selective SPARQL access path) checks
+  connectivity up front so no cross product is ever formed;
   disconnected pattern groups are rejected.
 - ``distinct`` dedups via ``coarse_group_reduce`` (in-block combiner +
   one hash exchange), never a driver-side collect.
@@ -41,6 +52,7 @@ never see schema-less empty partitions.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 
 import pyarrow as pa
@@ -171,21 +183,93 @@ def _plan_order_indices(patterns: list[Sequence[str]]) -> list[int]:
 
 def _compact(ds):
     """Materialize a binding table and re-block it so no block is
-    empty.  Two reasons: (a) Ray's hash-shuffle broadcasts each
-    side's schema from its FIRST shuffled block only, and an empty
-    first block silently skips the broadcast — data-less partitions
-    then crash pyarrow's join with "No match for key field"
-    (hash_shuffle.py::_shuffle_block's num_rows==0 early return);
-    (b) the count sizes the next join's partition count by the
-    small side (repo convention).  Binding tables are projected
-    few-column rows and the hash join materializes both sides in
-    its aggregators regardless, so this adds no new scale cost
-    class — it relocates the same bytes to the spillable store."""
+    empty; returns ``(dataset_or_None, n_rows)``.  Two reasons: (a) the
+    count picks the join tier in :func:`_solution_join` and, on the
+    hash-shuffle tier, the partition count; (b) Ray's hash shuffle
+    broadcasts each side's schema from its FIRST shuffled block only,
+    and an empty first block silently skips the broadcast — data-less
+    partitions then crash pyarrow's join with "No match for key field"
+    (hash_shuffle.py::_shuffle_block's num_rows==0 early return).
+    Binding tables are projected few-column rows; the hash-shuffle tier
+    holds both sides in its aggregators and the broadcast tier holds
+    its small side in the object store regardless, so this adds no new
+    scale cost class — it relocates the same bytes to the spillable
+    store."""
     m = ds.materialize()
     n = m.count()
     if n == 0:
         return None, 0
     return m.repartition(max(1, min(200, -(-n // 50_000)))), n
+
+
+def _concat_tables(*tables: pa.Table) -> pa.Table:
+    return pa.concat_tables(tables, promote_options="default")
+
+
+@functools.cache
+def _concat_task():
+    import ray
+
+    return ray.remote(_concat_tables)
+
+
+def _solution_join(left, n_l, right, n_r, join_type, on,
+                   num_partitions=None):
+    """Join two solution Datasets of known row counts (``_compact``'s
+    ``n``) on the same-named key columns ``on``: ``join_type`` is
+    ``inner``, ``left_outer``, ``left_anti`` or ``left_semi``.  Callers
+    select output columns by name; their order is not fixed.
+
+    Two tiers, same rows.  When the side that may be broadcast — the
+    smaller one for ``inner``, only the right one otherwise — has at
+    most ``functions.cluster.BROADCAST_JOIN_ROWS`` rows, ONE remote
+    task concatenates its blocks into an object-store table (they are
+    never fetched into the calling process) and every block of the
+    other side joins it inside ``map_batches`` with ``pa.Table.join`` —
+    the call Ray's hash join makes per partition, so null keys never
+    match and keys coalesce alike.  Otherwise it is a ``Dataset.join``
+    hash shuffle over ``num_partitions`` partitions (default: one per
+    50k rows of the smaller side, capped by
+    ``default_join_partitions``)."""
+    from cmc_knowledge_graph_text2ttl_ray.functions import cluster
+
+    on = tuple(on)
+    gate = cluster.BROADCAST_JOIN_ROWS
+    if join_type == "inner" and n_l < n_r and n_l <= gate:
+        return _broadcast_join(right, left, join_type, on)
+    if n_r <= gate:
+        return _broadcast_join(left, right, join_type, on)
+    np_join = num_partitions or max(1, min(
+        cluster.default_join_partitions(), -(-min(n_l, n_r) // 50_000)))
+    return left.join(right, join_type=join_type, num_partitions=np_join,
+                     on=on)
+
+
+def _broadcast_join(stream, small, join_type, on):
+    """Broadcast tier of :func:`_solution_join`: ``small`` is built
+    once in the object store and probed by every ``stream`` block."""
+    import ray
+
+    ref = _concat_task().remote(*small.to_arrow_refs())
+    verb = join_type.replace("_", " ")
+
+    def probe(t: pa.Table) -> pa.Table:
+        return t.join(ray.get(ref), keys=list(on), join_type=verb)
+
+    return stream.map_batches(probe, batch_format="pyarrow",
+                              batch_size=None)
+
+
+def _distinct_keys(keys):
+    """``map_batches`` fn: a block's distinct ``keys`` tuples as strings
+    — all a semi / anti join needs of its right side."""
+    keys = list(keys)
+
+    def fn(t: pa.Table) -> pa.Table:
+        return pa.table({c: t[c].cast(pa.string()) for c in keys}) \
+                 .group_by(keys).aggregate([])
+
+    return fn
 
 
 def _validate_patterns(patterns):
@@ -218,10 +302,6 @@ def _join_group(triples, patterns, num_partitions, pattern_sources=None):
     with ``patterns``; ``None`` entries fall back to ``triples``) — the
     semi-naive evaluation hook: a rule body re-evaluated with one
     pattern bound to the round's DELTA scans only the delta there."""
-    from cmc_knowledge_graph_text2ttl_ray.functions.cluster import (
-        default_join_partitions,
-    )
-
     patterns = list(patterns)
     _plan_order_indices(patterns)  # connectivity check (raises)
     all_vars = {v for p in patterns for v in _pattern_vars(p)}
@@ -244,21 +324,9 @@ def _join_group(triples, patterns, num_partitions, pattern_sources=None):
         cand = [i for i, s in enumerate(scans) if bound & s[2]]
         nxt = min(cand, key=lambda i: scans[i][1])
         rhs, n_rhs, pat_vars = scans.pop(nxt)
-        shared = sorted(bound & pat_vars)
-        # post-compact blocks are never empty, so a rename Project is
-        # safe here; Ray's hash join keeps both sides' columns, so the
-        # right side's join keys must not collide
-        rhs = rhs.rename_columns(
-            {v[1:]: v[1:] + "__r" for v in shared})
-        np_join = num_partitions or max(1, min(
-            default_join_partitions(), -(-min(n_acc, n_rhs) // 50_000)))
-        acc = acc.join(
-            rhs,
-            join_type="inner",
-            num_partitions=np_join,
-            on=tuple(v[1:] for v in shared),
-            right_on=tuple(v[1:] + "__r" for v in shared),
-        )
+        shared = [v[1:] for v in sorted(bound & pat_vars)]
+        acc = _solution_join(acc, n_acc, rhs, n_rhs, "inner", shared,
+                             num_partitions=num_partitions)
         keep = [v[1:] for v in sorted(bound | pat_vars)]
         acc, n_acc = _compact(acc.select_columns(keep))
         bound |= pat_vars
@@ -336,14 +404,14 @@ def bgp_query(
     join on a null key silently differs, so it is rejected).
     ``minus_patterns``: ONE internally-connected group subtracted from
     the solutions on shared variables (SPARQL ``MINUS`` / ``FILTER NOT
-    EXISTS`` over shared vars) — a distributed ``left_anti`` hash join.
+    EXISTS`` over shared vars) — a ``left_anti`` :func:`_solution_join`.
+    ``num_partitions`` applies to joins that take the hash-shuffle tier.
     ``filters``: solution filters applied after all joins (see
     :func:`_apply_filters`); combine with ``("?v", "is_null", None)``
     for the classic OPTIONAL-based negation.
     """
     from cmc_knowledge_graph_text2ttl_ray.functions.cluster import (
         coarse_group_reduce,
-        default_join_partitions,
     )
 
     _validate_patterns(patterns)
@@ -398,20 +466,9 @@ def bgp_query(
 
             acc = acc.map_batches(add_nulls, batch_format="pyarrow")
         else:
-            # post-compact blocks are non-empty, so a rename Project is
-            # safe here (unlike pre-join pattern scans)
-            opt = opt.rename_columns(
-                {v[1:]: v[1:] + "__r" for v in shared})
-            np_join = num_partitions or max(1, min(
-                default_join_partitions(),
-                -(-min(n_acc, n_opt) // 50_000)))
-            acc = acc.join(
-                opt,
-                join_type="left_outer",
-                num_partitions=np_join,
-                on=tuple(v[1:] for v in shared),
-                right_on=tuple(v[1:] + "__r" for v in shared),
-            )
+            acc = _solution_join(acc, n_acc, opt, n_opt, "left_outer",
+                                 [v[1:] for v in shared],
+                                 num_partitions=num_partitions)
             acc = acc.select_columns(
                 [v[1:] for v in sorted(bound)] + extra)
         bound |= opt_vars
@@ -427,25 +484,13 @@ def bgp_query(
         mins, n_min, _ = _join_group(triples, minus_patterns,
                                      num_partitions)
         if mins is not None:
-            # project the subtrahend to its join keys (dedup in-block —
-            # anti join needs key presence only) and left_anti join
+            # the subtrahend's distinct join keys (anti join needs key
+            # presence only)
             key_cols = [v[1:] for v in shared]
-
-            def keys_only(t: pa.Table) -> pa.Table:
-                sub = pa.table({c + "__r": t[c] for c in key_cols})
-                return sub.group_by(list(sub.column_names)).aggregate([])
-
-            mins = mins.map_batches(keys_only, batch_format="pyarrow")
-            np_join = num_partitions or max(1, min(
-                default_join_partitions(),
-                -(-min(n_acc, n_min) // 50_000)))
-            acc = acc.join(
-                mins,
-                join_type="left_anti",
-                num_partitions=np_join,
-                on=tuple(key_cols),
-                right_on=tuple(c + "__r" for c in key_cols),
-            )
+            mins = mins.map_batches(_distinct_keys(key_cols),
+                                    batch_format="pyarrow")
+            acc = _solution_join(acc, n_acc, mins, n_min, "left_anti",
+                                 key_cols, num_partitions=num_partitions)
 
     if filters:
         acc = _apply_filters(acc, filters)

@@ -4,7 +4,7 @@
 subset (reference parity: workflows run rdflib SPARQL on small mapping
 graphs, text_to_turtle_processor.py:2107-2202).  This module reuses THAT
 parser but compiles the query onto the distributed evaluators
-(``pipelines/kg_query.bgp_query`` hash-join plans), so the same query
+(``pipelines/kg_query.bgp_query`` join plans), so the same query
 text runs against a billion-triple materialized KG — and the in-memory
 evaluator doubles as the differential oracle in tests.
 
@@ -28,7 +28,7 @@ answers):
   smaller than the triple table; a vectorized translation would cover
   only a fraction of the expression grammar)
 - ``{ } UNION { }`` groups (arms evaluated independently, columns
-  aligned with nulls, correlated with the rest by a hash join on the
+  aligned with nulls, correlated with the rest by a join on the
   shared variables)
 - property paths ``p1/p2`` ``^p`` ``p1|p2`` (grouped), negated
   property sets ``!p`` / ``!(p1|^p2)``, and the closures ``+`` ``*``
@@ -49,7 +49,7 @@ answers):
   compatible-bindings join; UNDEF entries are wildcards; the inline
   list is query-text-sized, so the per-solution loop is bounded)
 - ``FILTER [NOT] EXISTS { … }`` — a distributed left_semi / left_anti
-  hash join on the shared variables (uncorrelated groups decide
+  join on the shared variables (uncorrelated groups decide
   globally by emptiness)
 - nested ``{ SELECT … }`` subqueries — evaluated in their own scope
   (outer prefixes inherited) and natural-joined back on the shared
@@ -87,6 +87,12 @@ from __future__ import annotations
 import re
 
 import pyarrow as pa
+
+from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import (
+    _compact,
+    _distinct_keys,
+    _solution_join,
+)
 
 __all__ = ["sparql_select", "sparql_query"]
 
@@ -476,15 +482,31 @@ def _apply_values(ds, vars_, rows):
     return ds.map_batches(apply, batch_format="pyarrow")
 
 
+def _str_cols(t: pa.Table) -> pa.Table:
+    return pa.table({c: t[c].cast(pa.string()) for c in t.column_names})
+
+
+def _null_count(ds, cols) -> int:
+    """Nulls in ``ds``'s ``cols`` (a column it lacks counts none)."""
+    return int(ds.map_batches(
+        lambda t, _c=tuple(cols): pa.table({"n": pa.array(
+            [sum(t[c].null_count for c in _c if c in t.column_names)],
+            pa.int64())}),
+        batch_format="pyarrow").sum("n") or 0)
+
+
+def _empty_solutions(cols):
+    import ray.data
+
+    return ray.data.from_arrow(
+        pa.schema([(c, pa.string()) for c in cols]).empty_table())
+
+
 def _strata_prep(ds, shared, with_lid):
     """String-cast + (optionally) full-row content hash ``__lid`` +
     observed null-bitmask ``__stratum`` over ``shared``; materialized
     so the per-stratum picks below reuse one execution."""
     import pyarrow.compute as pc
-
-    def _str_cols(t: pa.Table) -> pa.Table:
-        return pa.table({c: t[c].cast(pa.string())
-                         for c in t.column_names})
 
     def add_lid(df, _=None):
         import pandas as pd
@@ -519,143 +541,145 @@ def _strata_prep(ds, shared, with_lid):
     return out.map_batches(add_mask, batch_format="pyarrow").materialize()
 
 
-def _compat_matches(lm, rm, shared, out_cols, np_join,
-                    cross_on_disjoint=True, with_lid=True):
+def _compat_matches(lm, rm, shared, out_cols, cross_on_disjoint=True,
+                    with_lid=True):
     """Per-binding-compatible matches of two solution sets (§18.5
     compatibility: agree on every var bound in BOTH; a null shared var
     is a wildcard).  ``lm``/``rm`` come from :func:`_strata_prep`.
     Returns the list of per-(left-stratum, right-stratum) projected
     match datasets — the shared core of LeftJoin (crossing pairs with
     no commonly-bound var), MINUS (skipping them — the disjoint-domain
-    guard) and plain Join over nullable solutions."""
+    guard) and plain Join over nullable solutions.
+
+    Each stratum drops its all-null shared columns, so a shared var
+    bound on both sides is a join key, one bound on a single side comes
+    from that side and one bound on neither projects to null.  A pair
+    with no key joins on a constant column (a cross product).  Every
+    pair is a :func:`_solution_join`, so a small stratum is broadcast
+    instead of landing the whole pair in one shuffle partition."""
     import pyarrow.compute as pc
 
-    from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import _compact
+    def unbound(mask):
+        return {c for i, c in enumerate(shared) if (mask >> i) & 1}
 
     def pick(src, mask):
+        drop = unbound(mask) | {"__stratum"}
+
         def fn(t: pa.Table, _m=mask) -> pa.Table:
             t = t.filter(pc.equal(t["__stratum"], _m))
-            return t.select([c for c in t.column_names
-                             if c != "__stratum"])
+            return t.select([c for c in t.column_names if c not in drop])
 
-        return _compact(src.map_batches(fn, batch_format="pyarrow"))[0]
+        return _compact(src.map_batches(fn, batch_format="pyarrow"))
 
-    proj_cols = list(out_cols) + (["__lid"] if with_lid else [])
+    def cross_key(ds):
+        return ds.map_batches(
+            lambda t: t.append_column(
+                "__x", pa.array(["_"] * len(t), pa.string())),
+            batch_format="pyarrow")
+
+    proj = pa.schema([(c, pa.string()) for c in out_cols]
+                     + ([("__lid", pa.int64())] if with_lid else []))
+
+    def project(t: pa.Table) -> pa.Table:
+        return pa.table(
+            {f.name: (t[f.name].cast(f.type) if f.name in t.column_names
+                      else pa.nulls(len(t), f.type)) for f in proj},
+            schema=proj)
+
+    r_strata = {}
     parts = []
     for ml in sorted(lm.unique("__stratum")):
-        l_unbound = {c for i, c in enumerate(shared) if (ml >> i) & 1}
-        stratum = pick(lm, ml)
+        stratum, n_l = pick(lm, ml)
         if stratum is None:
             continue
         for mr in sorted(rm.unique("__stratum")):
-            r_unbound = {c for i, c in enumerate(shared)
-                         if (mr >> i) & 1}
-            join_on = [c for c in shared
-                       if c not in l_unbound and c not in r_unbound]
+            either_unbound = unbound(ml) | unbound(mr)
+            join_on = [c for c in shared if c not in either_unbound]
             if not join_on and not cross_on_disjoint:
                 continue  # MINUS: disjoint domains remove nothing
-            rstr = pick(rm, mr)
+            if mr not in r_strata:
+                r_strata[mr] = pick(rm, mr)
+            rstr, n_r = r_strata[mr]
             if rstr is None:
                 continue
-            r_all = rstr.rename_columns(
-                {c: c + "__r" for c in rstr.schema().names})
             if join_on:
-                j = stratum.join(
-                    r_all, join_type="inner",
-                    num_partitions=np_join,
-                    on=tuple(join_on),
-                    right_on=tuple(c + "__r" for c in join_on))
+                j = _solution_join(stratum, n_l, rstr, n_r, "inner",
+                                   join_on)
             else:
                 # no var bound on both sides: everything compatible
-                s2 = stratum.map_batches(
-                    lambda t: t.append_column(
-                        "__x", pa.array(["_"] * len(t), pa.string())),
-                    batch_format="pyarrow")
-                r3 = r_all.map_batches(
-                    lambda t: t.append_column(
-                        "__x__r", pa.array(["_"] * len(t), pa.string())),
-                    batch_format="pyarrow")
-                j = s2.join(r3, join_type="inner",
-                            num_partitions=np_join,
-                            on=("__x",), right_on=("__x__r",))
-
-            def project(t: pa.Table,
-                        _lu=frozenset(l_unbound),
-                        _oc=tuple(proj_cols)) -> pa.Table:
-                cols = {}
-                for c in _oc:
-                    # a shared var unbound on the left takes the right
-                    # side's value (may itself be null); right-only
-                    # vars come from the right
-                    src = c
-                    if c in _lu or (c + "__r" in t.column_names
-                                    and c not in t.column_names):
-                        src = c + "__r"
-                    cols[c] = (t[src].cast(
-                        pa.string() if c != "__lid" else pa.int64())
-                        if src in t.column_names
-                        else pa.nulls(len(t), pa.string()))
-                return pa.table(cols, schema=pa.schema(
-                    [(c, pa.string() if c != "__lid" else pa.int64())
-                     for c in _oc]))
-
+                j = _solution_join(cross_key(stratum), n_l,
+                                   cross_key(rstr), n_r, "inner", ["__x"])
             parts.append(j.map_batches(project, batch_format="pyarrow"))
     return parts
 
 
-def _matched_lid_anti(lm, matches, np_join):
+def _matched_lid_anti(lm, matches):
     """``lm`` rows whose ``__lid`` appears in no match row."""
     def dedup_ids(t: pa.Table) -> pa.Table:
         # empty filter outputs can arrive as schema-less blocks;
-        # emit a stable one-column __mid schema either way
+        # emit a stable one-column schema either way
         if "__lid" not in t.column_names:
-            return pa.table({"__mid": pa.array([], pa.int64())})
-        return pa.table({"__mid": t["__lid"]}) \
-                 .group_by(["__mid"]).aggregate([])
+            return pa.table({"__lid": pa.array([], pa.int64())})
+        return t.select(["__lid"]).group_by(["__lid"]).aggregate([])
 
     matched_ids = matches.map_batches(
         dedup_ids, batch_format="pyarrow").materialize()
-    if matched_ids.count() == 0:
+    n_matched = matched_ids.count()
+    if n_matched == 0:
         # a fully-empty materialized dataset loses its schema and the
-        # anti-join would fail resolving __mid; nothing matched
+        # anti-join would fail resolving __lid; nothing matched
         return lm
-    return lm.join(matched_ids, join_type="left_anti",
-                   num_partitions=np_join,
-                   on=("__lid",), right_on=("__mid",))
+    return _solution_join(lm, lm.count(), matched_ids, n_matched,
+                          "left_anti", ["__lid"])
 
 
-def _compat_inner_join(left, right, shared, out_cols, np_join):
+def _compat_inner_join(left, right, shared, out_cols):
     """SPARQL Join over two solution sets where shared vars may be
     null on either side (per-binding compatibility; null = wildcard).
     Union of :func:`_compat_matches` with crossing pairs kept (Join,
     unlike MINUS, has no disjoint-domain guard)."""
-    import ray.data as _rd
-
     lm = _strata_prep(left, shared, with_lid=False)
     rm = _strata_prep(right, shared, with_lid=False)
-    parts = _compat_matches(lm, rm, shared, out_cols, np_join,
+    parts = _compat_matches(lm, rm, shared, out_cols,
                             cross_on_disjoint=True, with_lid=False)
-    sch = pa.schema([(c, pa.string()) for c in out_cols])
     if not parts:
-        return _rd.from_arrow(sch.empty_table())
+        return _empty_solutions(out_cols)
     out = parts[0]
     for other in parts[1:]:
         out = out.union(other)
     osch = out.schema()
     if osch is None or not list(osch.names):  # zero blocks → schema lost
-        return _rd.from_arrow(sch.empty_table())
+        return _empty_solutions(out_cols)
     return out
 
 
-def _left_join(acc, opt_ds, nullable, num_partitions):
+def _join_back(acc, other, shared, nullable):
+    """SPARQL Join of the group's solutions with a separately evaluated
+    sub-result (UNION, GRAPH group, subquery) on ``shared``; ``None``
+    when either side is empty.  Shared vars that may be null on either
+    side take the per-binding path (:func:`_compat_inner_join`)."""
+    left, n_l = _compact(acc)
+    right, n_r = _compact(other)
+    if left is None or right is None:
+        return None
+    out_cols = sorted(set(left.schema().names) | set(right.schema().names))
+    if set(shared) & nullable or _null_count(right, shared):
+        return _compat_inner_join(left, right, shared, out_cols)
+    right = right.map_batches(_str_cols, batch_format="pyarrow")
+    return _solution_join(left, n_l, right, n_r, "inner",
+                          shared).select_columns(out_cols)
+
+
+def _left_join(acc, opt_ds, nullable):
     """SPARQL algebra ``LeftJoin(acc, opt)`` (§18.5): for each solution
     μ1, extend by every COMPATIBLE optional solution μ2 (agree on the
     variables bound in BOTH), or keep μ1 unextended when none matches.
     Returns ``(joined, vars-made-nullable)``.
 
     When no shared variable can be null on EITHER side this is one
-    left-outer hash join.  Otherwise — the OPTIONAL correlates through
-    a previous OPTIONAL's possibly-null vars, and/or the OPTIONAL side
+    left-outer :func:`_solution_join`.  Otherwise — the OPTIONAL
+    correlates through a previous OPTIONAL's possibly-null vars, and/or
+    the OPTIONAL side
     itself carries unbound shared vars (nested OPTIONAL / UNION inside
     the group) — BOTH sides are STRATIFIED by which shared vars are
     actually bound (observed null bitmasks, at most 2^k each): every
@@ -666,14 +690,6 @@ def _left_join(acc, opt_ds, nullable, num_partitions):
     the full left row (identical rows have identical match status, so
     bag multiplicities are preserved; 64-bit hash, collision odds
     negligible at solution-set size)."""
-    import pyarrow.compute as pc
-    import ray.data
-
-    from cmc_knowledge_graph_text2ttl_ray.functions.cluster import (
-        default_join_partitions,
-    )
-    from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import _compact
-
     opt_cols = [c for c in opt_ds.schema().names
                 if not c.startswith("__p")]
     acc_cols = list(acc.schema().names)
@@ -685,12 +701,11 @@ def _left_join(acc, opt_ds, nullable, num_partitions):
     extra = sorted(set(opt_cols) - set(shared))
     out_cols = sorted(set(acc_cols) | set(opt_cols))
     null_shared = sorted(set(shared) & nullable)
-    out_schema = pa.schema([(c, pa.string()) for c in out_cols])
 
     left, n_l = _compact(acc)
     right, n_r = _compact(opt_ds.select_columns(opt_cols))
     if left is None:
-        return ray.data.from_arrow(out_schema.empty_table()), set(extra)
+        return _empty_solutions(out_cols), set(extra)
     if right is None:
         def add_nulls(t: pa.Table, _extra=tuple(extra)) -> pa.Table:
             for name in _extra:
@@ -700,46 +715,24 @@ def _left_join(acc, opt_ds, nullable, num_partitions):
         return (left.map_batches(add_nulls, batch_format="pyarrow"),
                 set(extra))
 
-    def _str_cols(t: pa.Table) -> pa.Table:
-        return pa.table({c: t[c].cast(pa.string())
-                         for c in t.column_names})
-
-    right = right.map_batches(_str_cols, batch_format="pyarrow")
-    np_join = max(1, min(default_join_partitions(),
-                         -(-min(n_l, n_r) // 50_000)))
-
-    n_right_nulls = int(right.map_batches(
-        lambda t, _sh=tuple(shared): pa.table(
-            {"n": pa.array([sum(t[c].null_count for c in _sh)],
-                           pa.int64())}),
-        batch_format="pyarrow").sum("n") or 0)
-
-    if not null_shared and not n_right_nulls:
-        r2 = right.rename_columns({c: c + "__r" for c in shared})
-        j = left.join(r2, join_type="left_outer",
-                      num_partitions=np_join,
-                      on=tuple(shared),
-                      right_on=tuple(c + "__r" for c in shared))
+    if not null_shared and not _null_count(right, shared):
+        right = right.map_batches(_str_cols, batch_format="pyarrow")
+        j = _solution_join(left, n_l, right, n_r, "left_outer", shared)
         return j.select_columns(out_cols), set(extra)
 
     # ---- general per-binding compatibility (nulls on EITHER side) ----
     lm = _strata_prep(left, shared, with_lid=True)
     rm = _strata_prep(right, shared, with_lid=False)
-    parts = _compat_matches(lm, rm, shared, out_cols, np_join,
+    parts = _compat_matches(lm, rm, shared, out_cols,
                             cross_on_disjoint=True, with_lid=True)
-
-    import ray.data as _rd
-
-    lid_schema = pa.schema([(c, pa.string()) for c in out_cols]
-                           + [("__lid", pa.int64())])
     if parts:
         matches = parts[0]
         for other in parts[1:]:
             matches = matches.union(other)
         matches = matches.materialize()
-        unmatched = _matched_lid_anti(lm, matches, np_join)
+        unmatched = _matched_lid_anti(lm, matches)
     else:
-        matches = _rd.from_arrow(lid_schema.empty_table())
+        matches = _empty_solutions(out_cols)
         unmatched = lm
 
     def pad_left(t: pa.Table, _oc=tuple(out_cols)) -> pa.Table:
@@ -755,11 +748,11 @@ def _left_join(acc, opt_ds, nullable, num_partitions):
                                               batch_format="pyarrow"))
     osch = out.schema()
     if osch is None or not list(osch.names):  # zero blocks → schema lost
-        out = ray.data.from_arrow(out_schema.empty_table())
+        out = _empty_solutions(out_cols)
     return out, set(extra)
 
 
-def _minus_nullable(left, right, shared, np_join):
+def _minus_nullable(left, right, shared):
     """SPARQL §18.5 Minus with possibly-null shared vars on either
     side: :func:`_compat_matches` with the disjoint-domain guard
     (pairs sharing no bound var remove nothing) marks removed left
@@ -767,19 +760,16 @@ def _minus_nullable(left, right, shared, np_join):
     out_cols = list(left.schema().names)
     lm = _strata_prep(left, shared, with_lid=True)
     rm = _strata_prep(right, shared, with_lid=False)
-    parts = _compat_matches(lm, rm, shared, [], np_join,
+    parts = _compat_matches(lm, rm, shared, [],
                             cross_on_disjoint=False, with_lid=True)
 
     def drop_helpers(t: pa.Table, _oc=tuple(out_cols)) -> pa.Table:
         return pa.table({c: t[c] for c in _oc})
 
     def pin_schema(ds):
-        import ray.data as _rd
-
         dsch = ds.schema()
         if dsch is None or not list(dsch.names):  # zero blocks
-            return _rd.from_arrow(pa.schema(
-                [(c, pa.string()) for c in out_cols]).empty_table())
+            return _empty_solutions(out_cols)
         return ds
 
     if not parts:
@@ -788,7 +778,7 @@ def _minus_nullable(left, right, shared, np_join):
     removed = parts[0]
     for other in parts[1:]:
         removed = removed.union(other)
-    kept = _matched_lid_anti(lm, removed.materialize(), np_join)
+    kept = _matched_lid_anti(lm, removed.materialize())
     return pin_schema(
         kept.map_batches(drop_helpers, batch_format="pyarrow"))
 
@@ -852,6 +842,11 @@ def _eval_var_graph_group(triples, gvar, inner, num_partitions):
                               if not c.startswith("__p")}
 
         def bind_graph(t: pa.Table, _g=gname, _v=gvar) -> pa.Table:
+            if _v in t.column_names:
+                # the inner group binds ?var too: it must agree with the
+                # graph name (an unbound inner value binds to it)
+                t = t.filter(pc.fill_null(
+                    pc.equal(t[_v].cast(pa.string()), _g), True))
             cols = {c: t[c].cast(pa.string()) for c in t.column_names}
             cols[_v] = pa.array([_g] * len(t), pa.string())
             names_ = sorted(cols)
@@ -1037,11 +1032,7 @@ def _translate_group(elements):
 def _group_dataset(triples, elements, num_partitions):
     """Evaluate one translated group (recursive for UNION arms) into a
     solution Dataset with one string column per variable."""
-    from cmc_knowledge_graph_text2ttl_ray.functions.cluster import (
-        default_join_partitions,
-    )
     from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import (
-        _compact,
         bgp_query,
     )
 
@@ -1050,15 +1041,17 @@ def _group_dataset(triples, elements, num_partitions):
      graph_groups, var_graph_groups) = _translate_group(elements)
 
     # the FIRST plain MINUS fuses into bgp_query's planner (one pass) —
-    # but only over a PURE BGP group: with OPTIONAL/UNION/subquery
-    # elements the subtraction must apply AFTER those joins (syntactic
-    # order, §18.5), and it must share a var with the required patterns
-    # (else bgp_query's cross-product guard fires where the spec says
-    # "removes nothing").  Every other group applies sequentially below.
+    # but only over a PURE BGP group: with OPTIONAL/UNION/subquery/rich
+    # GRAPH elements the subtraction must apply AFTER those joins
+    # (syntactic order, §18.5; a var only such an element binds is
+    # unbound at fuse time), and it must share a var with the required
+    # patterns (else bgp_query's cross-product guard fires where the
+    # spec says "removes nothing").  Every other group applies sequentially below.
     plain_minus = None
     rest_minuses = minuses
     if (minuses and minuses[0][0] == "plain"
-            and not optionals and not unions and not subqueries):
+            and not optionals and not unions and not subqueries
+            and not graph_groups and not var_graph_groups):
         m_vars = {t for pat in minuses[0][1] for t in pat
                   if isinstance(t, str) and t.startswith("?")}
         req_vars = {t for pat in patterns for t in pat
@@ -1118,40 +1111,13 @@ def _group_dataset(triples, elements, num_partitions):
                 raise NotImplementedError(
                     "distributed SPARQL: UNION group sharing no variable "
                     "with the rest of the WHERE clause (cross product)")
-            left, n_l = _compact(acc)
-            right, n_r = _compact(uds)
-            if left is None or right is None:
-                sch = pa.schema(
-                    [(c, pa.string())
-                     for c in sorted(set(acc.schema().names) |
-                                     set(all_cols))])
-                import ray.data
-
-                return ray.data.from_arrow(sch.empty_table())
-            np_join = max(1, min(default_join_partitions(),
-                                 -(-min(n_l, n_r) // 50_000)))
-            u_out = sorted(set(left.schema().names) | set(all_cols))
-            n_unulls = int(right.map_batches(
-                lambda t, _sh=tuple(shared): pa.table(
-                    {"n": pa.array([sum(t[c].null_count
-                                        for c in _sh
-                                        if c in t.column_names)],
-                                   pa.int64())}),
-                batch_format="pyarrow").sum("n") or 0)
-            if n_unulls or (set(shared) & nullable):
-                # a UNION arm lacking a shared var (or a nullable acc
-                # var) makes the strict hash join drop rows the spec
-                # keeps: per-binding Join via the strata helper
-                acc = _compat_inner_join(left, right, shared, u_out,
-                                         np_join)
-            else:
-                right = right.rename_columns(
-                    {c: c + "__r" for c in shared})
-                acc = left.join(
-                    right, join_type="inner", num_partitions=np_join,
-                    on=tuple(shared),
-                    right_on=tuple(c + "__r" for c in shared))
-                acc = acc.select_columns(u_out)
+            # a UNION arm lacking a shared var leaves it null: _join_back
+            # then takes the per-binding Join
+            joined = _join_back(acc, uds, shared, nullable)
+            if joined is None:
+                return _empty_solutions(
+                    sorted(set(acc.schema().names) | set(all_cols)))
+            acc = joined
 
     # rich constant-GRAPH groups: each evaluates recursively over the
     # graph-filtered source, then joins back on the shared vars
@@ -1179,41 +1145,11 @@ def _group_dataset(triples, elements, num_partitions):
             raise NotImplementedError(
                 "distributed SPARQL: GRAPH group sharing no variable "
                 "with the rest of the WHERE clause (cross product)")
-        left, n_l = _compact(acc)
-        right, n_r = _compact(gds)
-        if left is None or right is None:
-            import ray.data
-
-            sch = pa.schema([(c, pa.string()) for c in sorted(
-                set(acc.schema().names) | set(g_cols))])
-            return ray.data.from_arrow(sch.empty_table())
-        n_gnulls = int(right.map_batches(
-            lambda t, _sh=tuple(shared): pa.table(
-                {"n": pa.array([sum(t[c].null_count for c in _sh)],
-                               pa.int64())}),
-            batch_format="pyarrow").sum("n") or 0)
-        np_join = max(1, min(default_join_partitions(),
-                             -(-min(n_l, n_r) // 50_000)))
-        g_out = sorted(set(left.schema().names) | set(g_cols))
-        if n_gnulls or (set(shared) & nullable):
-            # shared vars may be unbound on either side: per-binding
-            # Join via the both-sides strata helper
-            acc = _compat_inner_join(left, right, shared, g_out,
-                                     np_join)
-        else:
-            def _str_cols_g(t: pa.Table) -> pa.Table:
-                return pa.table({c: t[c].cast(pa.string())
-                                 for c in t.column_names})
-
-            right = right.map_batches(_str_cols_g,
-                                      batch_format="pyarrow") \
-                         .rename_columns(
-                             {c: c + "__r" for c in shared})
-            acc = left.join(right, join_type="inner",
-                            num_partitions=np_join,
-                            on=tuple(shared),
-                            right_on=tuple(c + "__r" for c in shared))
-            acc = acc.select_columns(g_out)
+        joined = _join_back(acc, gds, shared, nullable)
+        if joined is None:
+            return _empty_solutions(
+                sorted(set(acc.schema().names) | set(g_cols)))
+        acc = joined
         # vars the GRAPH group introduced may be null (inner OPTIONAL)
         nullable |= set(g_cols) - set(shared)
 
@@ -1231,8 +1167,7 @@ def _group_dataset(triples, elements, num_partitions):
                                num_partitions=num_partitions)
         else:
             opt_ds = _group_dataset(triples, payload, num_partitions)
-        acc, new_nullable = _left_join(acc, opt_ds, nullable,
-                                       num_partitions)
+        acc, new_nullable = _left_join(acc, opt_ds, nullable)
         nullable |= new_nullable
 
     # remaining MINUS groups, in order: remove solutions with a
@@ -1252,41 +1187,22 @@ def _group_dataset(triples, elements, num_partitions):
         left, n_l = _compact(acc)
         right, n_r = _compact(min_ds.select_columns(shared))
         if left is None:
-            import ray.data
-
-            sch = pa.schema([(c, pa.string())
-                             for c in acc.schema().names])
-            acc = ray.data.from_arrow(sch.empty_table())
+            acc = _empty_solutions(acc.schema().names)
             continue
         if right is None:
             continue
-        n_right_nulls = int(right.map_batches(
-            lambda t, _sh=tuple(shared): pa.table(
-                {"n": pa.array([sum(t[c].null_count for c in _sh)],
-                               pa.int64())}),
-            batch_format="pyarrow").sum("n") or 0)
-        np_join = max(1, min(default_join_partitions(),
-                             -(-min(n_l, n_r) // 50_000)))
-        if not (set(shared) & nullable) and not n_right_nulls:
-            def _min_keys(t: pa.Table, _sh=tuple(shared)) -> pa.Table:
-                sub = pa.table({c + "__r": t[c].cast(pa.string())
-                                for c in _sh})
-                return sub.group_by(
-                    list(sub.column_names)).aggregate([])
-
-            right = right.map_batches(_min_keys,
-                                      batch_format="pyarrow")
-            acc = left.join(
-                right, join_type="left_anti",
-                num_partitions=np_join,
-                on=tuple(shared),
-                right_on=tuple(c + "__r" for c in shared))
+        if not (set(shared) & nullable) and not _null_count(right, shared):
+            acc = _solution_join(
+                left, n_l,
+                right.map_batches(_distinct_keys(shared),
+                                  batch_format="pyarrow"), n_r,
+                "left_anti", shared)
         else:
             # per-binding MINUS (§18.5): μ1 removed iff some μ2 agrees
             # on every var bound in BOTH and they share at least one
             # bound var — the same both-sides strata machinery as
             # _left_join, collecting REMOVED ids instead of matches
-            acc = _minus_nullable(left, right, shared, np_join)
+            acc = _minus_nullable(left, right, shared)
 
     # subqueries: evaluated in their own scope, natural-joined back on
     # the shared variables (SPARQL 1.1 §12 bottom-up evaluation)
@@ -1299,42 +1215,11 @@ def _group_dataset(triples, elements, num_partitions):
             raise NotImplementedError(
                 "distributed SPARQL: subquery sharing no variable with "
                 "the outer group (cross product)")
-        left, n_l = _compact(acc)
-        right, n_r = _compact(sub)
-        if left is None or right is None:
-            sch = pa.schema([(c, pa.string()) for c in sorted(
-                set(acc.schema().names) | sub_cols)])
-            import ray.data
-
-            return ray.data.from_arrow(sch.empty_table())
-
-        np_join = max(1, min(default_join_partitions(),
-                             -(-min(n_l, n_r) // 50_000)))
-        sq_out = sorted(set(left.schema().names) | sub_cols)
-        n_snulls = int(right.map_batches(
-            lambda t, _sh=tuple(shared): pa.table(
-                {"n": pa.array([sum(t[c].null_count for c in _sh)],
-                               pa.int64())}),
-            batch_format="pyarrow").sum("n") or 0)
-        if n_snulls or (set(shared) & nullable):
-            # subquery projections (or the outer acc) may be null on a
-            # shared var: per-binding Join via the strata helper
-            acc = _compat_inner_join(left, right, shared, sq_out,
-                                     np_join)
-        else:
-            def _str_cols(t: pa.Table) -> pa.Table:
-                return pa.table({c: t[c].cast(pa.string())
-                                 for c in t.column_names})
-
-            right = right.map_batches(_str_cols,
-                                      batch_format="pyarrow") \
-                         .rename_columns(
-                             {c: c + "__r" for c in shared})
-            acc = left.join(right, join_type="inner",
-                            num_partitions=np_join,
-                            on=tuple(shared),
-                            right_on=tuple(c + "__r" for c in shared))
-            acc = acc.select_columns(sq_out)
+        joined = _join_back(acc, sub, shared, nullable)
+        if joined is None:
+            return _empty_solutions(
+                sorted(set(acc.schema().names) | sub_cols))
+        acc = joined
         nullable |= sub_cols - set(shared)
 
     # evaluation order for the supported subset: VALUES (inline joins) →
@@ -1355,41 +1240,21 @@ def _group_dataset(triples, elements, num_partitions):
             keep = any_row != negated
             if keep:
                 continue
-            sch = pa.schema([(c, pa.string())
-                             for c in acc.schema().names])
-            import ray.data
-
-            acc = ray.data.from_arrow(sch.empty_table())
+            acc = _empty_solutions(acc.schema().names)
             continue
         left, n_l = _compact(acc)
         right, n_r = _compact(probe)
         if left is None:
             continue  # no solutions left; nothing to subtract from
         if right is None:
-            if not negated:
-                import ray.data
-
-                sch = pa.schema([(c, pa.string())
-                                 for c in left.schema().names])
-                acc = ray.data.from_arrow(sch.empty_table())
-            else:
-                acc = left
+            acc = left if negated else _empty_solutions(
+                left.schema().names)
             continue
-
-        def keys_only(t: pa.Table, shared=shared) -> pa.Table:
-            sub = pa.table({c + "__r": t[c].cast(pa.string())
-                            for c in shared})
-            return sub.group_by(list(sub.column_names)).aggregate([])
-
-        right = right.map_batches(keys_only, batch_format="pyarrow")
-        np_join = max(1, min(default_join_partitions(),
-                             -(-min(n_l, n_r) // 50_000)))
-        acc = left.join(
-            right,
-            join_type=("left_anti" if negated else "left_semi"),
-            num_partitions=np_join,
-            on=tuple(shared),
-            right_on=tuple(c + "__r" for c in shared))
+        acc = _solution_join(
+            left, n_l,
+            right.map_batches(_distinct_keys(shared),
+                              batch_format="pyarrow"), n_r,
+            "left_anti" if negated else "left_semi", shared)
     pre_sch = acc.schema()
     if filters:
         acc = _row_filters(acc, filters)
@@ -1397,12 +1262,9 @@ def _group_dataset(triples, elements, num_partitions):
     if sch is None or not list(sch.names):
         # a filter that empties every block loses the schema (zero
         # blocks / empty-name blocks); pin the pre-filter column set
-        import ray.data
-
         names = pre_sch.names if pre_sch is not None else []
-        return ray.data.from_arrow(pa.schema(
-            [(c, pa.string()) for c in names
-             if not c.startswith("__p")]).empty_table())
+        return _empty_solutions(
+            [c for c in names if not c.startswith("__p")])
     internal = [c for c in sch.names if c.startswith("__p")]
     if internal:
         acc = acc.select_columns(

@@ -272,8 +272,9 @@ def test_random_optional_chain_matches_inmemory(graph, data):
 
 
 GRAPHS_NAMES = ["g1", "g2", "g3"]
+# objects may name a graph, so an inner pattern can bind the GRAPH var
 quad_edges = st.tuples(st.sampled_from(NODES), st.sampled_from(PREDS),
-                       st.sampled_from(NODES),
+                       st.sampled_from(NODES + GRAPHS_NAMES),
                        st.sampled_from(GRAPHS_NAMES))
 quad_graphs = st.lists(quad_edges, min_size=1, max_size=14, unique=True)
 
@@ -284,9 +285,10 @@ quad_graphs = st.lists(quad_edges, min_size=1, max_size=14, unique=True)
           suppress_health_check=[HealthCheck.too_slow])
 def test_random_graph_clause_matches_inmemory(quads, data):
     """Random GRAPH groups — constant or variable graph term, plain or
-    path (seq / +) inner pattern — through both front ends. Exercises
-    the round-5 constant-graph path composition and the bounded
-    GRAPH ?var enumeration under randomized structure."""
+    path (seq / +) inner pattern, or (variable term only) an inner
+    group that binds the graph var itself next to an OPTIONAL — through
+    both front ends. Exercises the constant-graph path composition and
+    the bounded GRAPH ?var enumeration under randomized structure."""
     from collections import Counter
 
     import pyarrow as pa
@@ -299,6 +301,7 @@ def test_random_graph_clause_matches_inmemory(quads, data):
 
     use_var = data.draw(st.booleans())
     use_path = data.draw(st.booleans())
+    binds_g = use_var and not use_path and data.draw(st.booleans())
     gterm = "?g" if use_var else f"<urn:{data.draw(st.sampled_from(GRAPHS_NAMES))}>"
     if use_path:
         p1 = data.draw(st.sampled_from(PREDS))
@@ -308,6 +311,10 @@ def test_random_graph_clause_matches_inmemory(quads, data):
                 else f"<urn:{p1}>+")
         inner = f"?a {path} ?b ."
         proj = ["?a", "?b"] + (["?g"] if use_var else [])
+    elif binds_g:
+        pr, pr2 = (data.draw(st.sampled_from(PREDS)) for _ in range(2))
+        inner = f"?a <urn:{pr}> ?g OPTIONAL {{ ?a <urn:{pr2}> ?b }}"
+        proj = ["?a", "?b", "?g"]
     else:
         pr = data.draw(st.sampled_from(PREDS))
         inner = f"?a <urn:{pr}> ?b ."

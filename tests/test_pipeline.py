@@ -41,6 +41,13 @@ def test_extract_truncates_multi_root():
         assert "1600" not in t
 
 
+def test_run_kg_pipeline_has_docstring():
+    # the argument check sits below the docstring, not above it
+    from cmc_knowledge_graph_text2ttl_ray.pipelines.kg import run_kg_pipeline
+
+    assert (run_kg_pipeline.__doc__ or "").startswith("Run the full pipeline")
+
+
 def test_pipeline_produces_triples(kg_run):
     triples = kg_run["triples"].to_pandas()
     assert len(triples) > 200

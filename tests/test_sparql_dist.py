@@ -625,6 +625,7 @@ def _assert_same_quads(query):
             (k, v) for k, v in r.items() if v is not None and v == v)))
     local = [tuple(sorted(r.items())) for r in gi.query(query)]
     assert Counter(rows) == Counter(local)
+    return rows
 
 
 def test_seq_path_inside_constant_graph(ray_session):
@@ -753,3 +754,44 @@ def test_graph_group_nullable_shared_join(ray_session):
                 OPTIONAL { ?c ex:in_country ?k }
             }
         }""")
+
+
+def test_minus_after_rich_graph_group(ray_session):
+    # MINUS over ?c, which only the rich GRAPH group binds: it must
+    # apply after the GRAPH join, not fuse into the BGP planner, where
+    # it would subtract on ?d alone and drop every d1 row
+    rows = _assert_same_quads(PFX + """
+        SELECT ?d ?m ?c WHERE {
+            ?d ex:mentions ?m .
+            GRAPH <urn:g1> {
+                ?m ex:hq_in ?c
+                OPTIONAL { ?c ex:in_country ?k }
+            }
+            MINUS { ?d ex:mentions ?x . ?x ex:hq_in ?c .
+                    ?c ex:in_country ex:germany }
+        }""")
+    assert len(rows) == 2
+
+
+def test_graph_var_bound_inside_group_must_agree(ray_session):
+    # GRAPH ?g over a group that binds ?g itself: a row survives only
+    # where the inner value equals the graph name
+    import ray.data
+
+    quads = [(EX + "s", EX + "p", "urn:g1", "urn:g1"),
+             (EX + "t", EX + "p", "urn:g2", "urn:g1"),
+             (EX + "s", EX + "q", "x", "urn:g1")]
+    gi = GraphIndex(graphs=[])
+    for s, p, o, g in quads:
+        gi.add((s, p, o, "iri", None, None), graph=g)
+    ds = ray.data.from_arrow(pa.table({
+        "subject": [q[0] for q in quads], "predicate": [q[1] for q in quads],
+        "object": [q[2] for q in quads], "graph": [q[3] for q in quads]}))
+    query = PFX + """SELECT ?s ?g ?v WHERE {
+        GRAPH ?g { ?s ex:p ?g OPTIONAL { ?s ex:q ?v } } }"""
+    dist = sparql_select(ds, query).to_pandas()
+    rows = [tuple(sorted((k, v) for k, v in r.items() if v is not None))
+            for r in dist.to_dict(orient="records")]
+    local = [tuple(sorted(r.items())) for r in gi.query(query)]
+    assert Counter(rows) == Counter(local)
+    assert len(rows) == 1
