@@ -242,6 +242,7 @@ def cmd_query(args) -> int:
         query = args.sparql
     result = sparql_query(source, query)
     if args.out:
+        result = result.materialize()  # written and counted: run it once
         result.write_parquet(args.out)
         print(json.dumps({"out": args.out, "n_rows": result.count()}))
     else:

@@ -220,8 +220,8 @@ def merge_equivalent_entities(triples, sameas_pred: str,
         connected_components,
     )
     from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import (
-        _compact,
         _pattern_scan,
+        _reblock,
     )
     from cmc_knowledge_graph_text2ttl_ray.stages.canonicalize import (
         apply_canonical_mapping,
@@ -249,7 +249,7 @@ def merge_equivalent_entities(triples, sameas_pred: str,
         return pa.table({"a": t["a"], "b": t["b"],
                          "ha": h64(a), "hb": h64(b)})
 
-    pairs, n_pairs = _compact(
+    pairs, n_pairs = _reblock(
         _pattern_scan(pair_src, ("?a", sameas_pred, "?b"))
         .map_batches(hash_ids, batch_format="pyarrow"))
     if pairs is None:
@@ -306,8 +306,8 @@ def merge_equivalent_entities(triples, sameas_pred: str,
         return out
 
     canon = coarse_group_reduce(labeled, ["cluster_id"], min_iri)
-    canon, _n_canon = _compact(canon)
-    labeled, _n = _compact(labeled)
+    canon, _n_canon = _reblock(canon)
+    labeled, _n = _reblock(labeled)
     mapping_ds = labeled.join(
         canon, join_type="inner", num_partitions=np_join,
         on=("cluster_id",), right_on=("cluster_id__r",),
@@ -356,7 +356,7 @@ def kg_entity_pagerank(triples, damping: float = 0.85, iters: int = 4,
     from cmc_knowledge_graph_text2ttl_ray.pipelines.graph_algos import (
         pagerank,
     )
-    from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import _compact
+    from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import _reblock
 
     if hasattr(triples, "scan_for_predicate"):
         triples = triples.scan_for_predicate(None)
@@ -379,7 +379,7 @@ def kg_entity_pagerank(triples, damping: float = 0.85, iters: int = 4,
                          "b": pa.array(b, pa.string()),
                          "src": h64(a), "dst": h64(b)})
 
-    edges, n_edges = _compact(
+    edges, n_edges = _reblock(
         triples.map_batches(edge_rows, batch_format="pyarrow"))
     if edges is None:
         import ray.data
@@ -645,8 +645,10 @@ def forward_chain(triples, rules: list[Rule], max_rounds: int = 12,
         # round in fixed overhead; the pandas twin runs the identical
         # semi-naive semantics driver-side (repo-standard
         # threshold-gated small path, distributed-equivalence-tested).
+        # a Dataset whose blocks all emptied has no schema to convert
         return _pd_forward_chain(
-            full.to_pandas(), rules, max_rounds,
+            full.to_pandas() if n_full else
+            _TRIPLES_SCHEMA.empty_table().to_pandas(), rules, max_rounds,
             seed.to_pandas() if seed is not None else None)
     spill_base = None
     if spilling:
@@ -867,14 +869,14 @@ def _apply_pair_map(inst, pairs, n_pairs: int, key_col: str, build,
 
         return inst.map_batches(apply, batch_format="pyarrow")
 
-    # Both sides are compacted first: Ray's hash-shuffle join broadcasts
-    # each side's schema from its first shuffled block only, and an
-    # empty block crashes pyarrow's join with "No match for key field"
-    # (see kg_query._compact, which also notes why this adds no new
-    # scale cost class — the hash join pins both sides regardless).
-    from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import _compact
+    # Both sides are re-blocked first: Ray's hash-shuffle join
+    # broadcasts each side's schema from its first shuffled block only,
+    # and an empty block crashes pyarrow's join with "No match for key
+    # field" (see kg_query._reblock; no new scale cost class — the hash
+    # join pins both sides regardless).
+    from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import _reblock
 
-    left, n_left = _compact(inst)
+    left, n_left = _reblock(inst)
     if n_left == 0:
         return ray.data.from_arrow(_TRIPLES_SCHEMA.empty_table())
     if is_pd:
@@ -882,7 +884,7 @@ def _apply_pair_map(inst, pairs, n_pairs: int, key_col: str, build,
             "subject": pa.array(pairs["subject"].astype(str), pa.string()),
             "object": pa.array(pairs["object"].astype(str), pa.string()),
         }))
-    right, _ = _compact(pairs.map_batches(
+    right, _ = _reblock(pairs.map_batches(
         lambda t: pa.table({"_sub": t["subject"].cast(pa.string()),
                             "_sup": t["object"].cast(pa.string())}),
         batch_format="pyarrow"))

@@ -45,15 +45,20 @@ Scale shape
 - ``distinct`` dedups via ``coarse_group_reduce`` (in-block combiner +
   one hash exchange), never a driver-side collect.
 
-Empty-block convention: every per-pattern scan emits a TYPED (all
-``string``) Arrow schema even for zero matches, so downstream joins
-never see schema-less empty partitions.
+Solution sets: joins and compaction pass :class:`Solutions` — the
+materialized blocks, the variables and the row count.  Columns are
+static (SPARQL 1.1 §18.2.1: a group's in-scope variables follow from
+its syntax), so no operator asks a Dataset for its schema — on a lazy
+Dataset that is a ``limit=1`` execution of the whole upstream plan,
+and a Dataset whose blocks all emptied has none.  Counts come from
+compaction; an empty set holds a typed empty table.
 """
 
 from __future__ import annotations
 
 import functools
 from collections.abc import Sequence
+from typing import Any, NamedTuple
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -181,20 +186,42 @@ def _plan_order_indices(patterns: list[Sequence[str]]) -> list[int]:
     return order
 
 
-def _compact(ds):
-    """Materialize a binding table and re-block it so no block is
-    empty; returns ``(dataset_or_None, n_rows)``.  Two reasons: (a) the
-    count picks the join tier in :func:`_solution_join` and, on the
-    hash-shuffle tier, the partition count; (b) Ray's hash shuffle
-    broadcasts each side's schema from its FIRST shuffled block only,
-    and an empty first block silently skips the broadcast — data-less
-    partitions then crash pyarrow's join with "No match for key field"
-    (hash_shuffle.py::_shuffle_block's num_rows==0 early return).
-    Binding tables are projected few-column rows; the hash-shuffle tier
-    holds both sides in its aggregators and the broadcast tier holds
-    its small side in the object store regardless, so this adds no new
-    scale cost class — it relocates the same bytes to the spillable
-    store."""
+class Solutions(NamedTuple):
+    """A solution set: ``ds`` holds its materialized blocks, ``cols``
+    its variables (names without ``?``, known from the query — never
+    read back from ``ds``) and ``n`` its row count."""
+
+    ds: Any
+    cols: tuple
+    n: int
+
+    @classmethod
+    def empty(cls, cols):
+        import ray.data
+
+        return cls(ray.data.from_arrow(pa.schema(
+            [(c, pa.string()) for c in cols]).empty_table()), tuple(cols), 0)
+
+
+def _compact(ds, cols) -> Solutions:
+    """Materialize a solution Dataset with variables ``cols`` ONCE and
+    count it; every consumer reads the same blocks.  The count picks
+    the join tier in :func:`_solution_join`; an empty result becomes
+    :meth:`Solutions.empty` (a Dataset whose blocks all emptied keeps
+    no schema)."""
+    m = ds.materialize()
+    n = m.count()
+    return Solutions(m, tuple(cols), n) if n else Solutions.empty(cols)
+
+
+def _reblock(ds):
+    """Materialize ``ds`` and re-block it so no block is empty; returns
+    ``(dataset_or_None, n_rows)``.  Ray's hash shuffle broadcasts each
+    side's schema from its FIRST shuffled block only, and an empty
+    first block silently skips the broadcast — data-less partitions
+    then crash pyarrow's join with "No match for key field"
+    (hash_shuffle.py::_shuffle_block's num_rows==0 early return).  So
+    every ``Dataset.join`` input goes through here."""
     m = ds.materialize()
     n = m.count()
     if n == 0:
@@ -203,7 +230,10 @@ def _compact(ds):
 
 
 def _concat_tables(*tables: pa.Table) -> pa.Table:
-    return pa.concat_tables(tables, promote_options="default")
+    # a map skips empty blocks, so they reach here as they entered it —
+    # possibly as column-less pandas blocks
+    return pa.concat_tables([t for t in tables if len(t)],
+                            promote_options="default")
 
 
 @functools.cache
@@ -215,8 +245,9 @@ def _concat_task():
 
 def _solution_join(left, n_l, right, n_r, join_type, on,
                    num_partitions=None):
-    """Join two solution Datasets of known row counts (``_compact``'s
-    ``n``) on the same-named key columns ``on``: ``join_type`` is
+    """Join two non-empty solution Datasets of known row counts
+    (:class:`Solutions`' ``n``) on the same-named key columns ``on``:
+    ``join_type`` is
     ``inner``, ``left_outer``, ``left_anti`` or ``left_semi``.  Callers
     select output columns by name; their order is not fixed.
 
@@ -228,9 +259,9 @@ def _solution_join(left, n_l, right, n_r, join_type, on,
     other side joins it inside ``map_batches`` with ``pa.Table.join`` —
     the call Ray's hash join makes per partition, so null keys never
     match and keys coalesce alike.  Otherwise it is a ``Dataset.join``
-    hash shuffle over ``num_partitions`` partitions (default: one per
-    50k rows of the smaller side, capped by
-    ``default_join_partitions``)."""
+    hash shuffle of the :func:`_reblock`-ed sides over
+    ``num_partitions`` partitions (default: one per 50k rows of the
+    smaller side, capped by ``default_join_partitions``)."""
     from cmc_knowledge_graph_text2ttl_ray.functions import cluster
 
     on = tuple(on)
@@ -241,8 +272,8 @@ def _solution_join(left, n_l, right, n_r, join_type, on,
         return _broadcast_join(left, right, join_type, on)
     np_join = num_partitions or max(1, min(
         cluster.default_join_partitions(), -(-min(n_l, n_r) // 50_000)))
-    return left.join(right, join_type=join_type, num_partitions=np_join,
-                     on=on)
+    return _reblock(left)[0].join(_reblock(right)[0], join_type=join_type,
+                                  num_partitions=np_join, on=on)
 
 
 def _broadcast_join(stream, small, join_type, on):
@@ -250,7 +281,9 @@ def _broadcast_join(stream, small, join_type, on):
     once in the object store and probed by every ``stream`` block."""
     import ray
 
-    ref = _concat_task().remote(*small.to_arrow_refs())
+    # a lazy side would run once for its blocks and once more for its
+    # schema
+    ref = _concat_task().remote(*small.materialize().to_arrow_refs())
     verb = join_type.replace("_", " ")
 
     def probe(t: pa.Table) -> pa.Table:
@@ -287,8 +320,8 @@ def _validate_patterns(patterns):
 
 
 def _join_group(triples, patterns, num_partitions, pattern_sources=None):
-    """Inner-join one connected pattern group; returns
-    ``(dataset_or_None, n_rows, bound_var_set)``.
+    """Inner-join one connected pattern group into :class:`Solutions`
+    over the group's variables.
 
     Join order is TRUE-cardinality greedy: every pattern is scanned +
     compacted first (each is scanned exactly once either way — the
@@ -304,35 +337,48 @@ def _join_group(triples, patterns, num_partitions, pattern_sources=None):
     pattern bound to the round's DELTA scans only the delta there."""
     patterns = list(patterns)
     _plan_order_indices(patterns)  # connectivity check (raises)
-    all_vars = {v for p in patterns for v in _pattern_vars(p)}
+    all_vars = sorted({v[1:] for p in patterns for v in _pattern_vars(p)})
 
     def _src(i):
         if pattern_sources is not None and pattern_sources[i] is not None:
             return pattern_sources[i]
         return triples
 
-    scans = []  # [dataset, n_rows, var_set]
+    scans = []
     for i, pat in enumerate(patterns):
-        ds, n = _compact(_pattern_scan(_src(i), pat))
-        if ds is None:
-            return None, 0, all_vars
-        scans.append([ds, n, set(_pattern_vars(pat))])
+        scan = _compact(_pattern_scan(_src(i), pat),
+                        [v[1:] for v in _pattern_vars(pat)])
+        if scan.n == 0:
+            return Solutions.empty(all_vars)
+        scans.append(scan)
 
-    start = min(range(len(scans)), key=lambda i: scans[i][1])
-    acc, n_acc, bound = scans.pop(start)
+    acc = scans.pop(min(range(len(scans)), key=lambda i: scans[i].n))
     while scans:
-        cand = [i for i, s in enumerate(scans) if bound & s[2]]
-        nxt = min(cand, key=lambda i: scans[i][1])
-        rhs, n_rhs, pat_vars = scans.pop(nxt)
-        shared = [v[1:] for v in sorted(bound & pat_vars)]
-        acc = _solution_join(acc, n_acc, rhs, n_rhs, "inner", shared,
-                             num_partitions=num_partitions)
-        keep = [v[1:] for v in sorted(bound | pat_vars)]
-        acc, n_acc = _compact(acc.select_columns(keep))
-        bound |= pat_vars
-        if acc is None:
-            return None, 0, bound | all_vars
-    return acc, n_acc, bound
+        nxt = min((i for i, s in enumerate(scans)
+                   if set(acc.cols) & set(s.cols)),
+                  key=lambda i: scans[i].n)
+        rhs = scans.pop(nxt)
+        keep = sorted(set(acc.cols) | set(rhs.cols))
+        acc = _compact(_solution_join(
+            acc.ds, acc.n, rhs.ds, rhs.n, "inner",
+            sorted(set(acc.cols) & set(rhs.cols)),
+            num_partitions=num_partitions).select_columns(keep), keep)
+        if acc.n == 0:
+            return Solutions.empty(all_vars)
+    return acc
+
+
+def _add_null_cols(cols):
+    """``map_batches`` fn: append all-null string columns ``cols`` —
+    an OPTIONAL side with no solutions extends every row unbound."""
+    cols = tuple(cols)
+
+    def fn(t: pa.Table) -> pa.Table:
+        for name in cols:
+            t = t.append_column(name, pa.nulls(len(t), pa.string()))
+        return t
+
+    return fn
 
 
 _FILTER_OPS = {
@@ -414,34 +460,44 @@ def bgp_query(
         coarse_group_reduce,
     )
 
-    _validate_patterns(patterns)
     opt_groups = list(optional_groups or [])
     if optional_patterns:
         opt_groups.insert(0, optional_patterns)
+    sols = _bgp_solutions(triples, patterns, num_partitions, opt_groups,
+                          minus_patterns, pattern_sources)
+    cols = [v.lstrip("?") for v in project] if project else sorted(
+        sols.cols)
+    if sols.n == 0:
+        return Solutions.empty(cols).ds
+    acc = sols.ds
+    if filters:
+        acc = _apply_filters(acc, filters)
+    acc = acc.select_columns(cols)
+    if distinct:
+        acc = coarse_group_reduce(
+            acc, cols, lambda g: g.drop_duplicates(subset=cols))
+    return acc
+
+
+def _bgp_solutions(triples, patterns, num_partitions=None, opt_groups=(),
+                   minus_patterns=None, pattern_sources=None) -> Solutions:
+    """:func:`bgp_query`'s joins — required patterns, OPTIONAL groups,
+    MINUS — as :class:`Solutions` over every variable they bind."""
+    _validate_patterns(patterns)
     for grp in opt_groups:
         _validate_patterns(grp)
-    all_vars = sorted(
-        {v for pat in patterns for v in _pattern_vars(pat)}
-        | {v for grp in opt_groups for pat in grp
-           for v in _pattern_vars(pat)})
-    cols = [v.lstrip("?") for v in project] if project else [
-        v[1:] for v in all_vars]
+    acc = _join_group(triples, patterns, num_partitions,
+                      pattern_sources=pattern_sources)
+    bound = set(acc.cols)
+    if acc.n == 0:
+        return Solutions.empty(sorted(
+            bound | {v[1:] for grp in opt_groups for pat in grp
+                     for v in _pattern_vars(pat)}))
 
-    def _empty_result():
-        import ray.data
-
-        return ray.data.from_arrow(
-            pa.schema([(c, pa.string()) for c in cols]).empty_table())
-
-    acc, n_acc, bound = _join_group(triples, patterns, num_partitions,
-                                    pattern_sources=pattern_sources)
-    if acc is None:
-        return _empty_result()
-
-    required_vars = set(bound)
+    ds = acc.ds
     for grp in opt_groups:
-        opt_vars = {v for pat in grp for v in _pattern_vars(pat)}
-        shared = sorted(required_vars & opt_vars)
+        opt_vars = {v[1:] for pat in grp for v in _pattern_vars(pat)}
+        shared = sorted(set(acc.cols) & opt_vars)
         if (bound & opt_vars) - set(shared):
             raise NotImplementedError(
                 "OPTIONAL group shares a previous OPTIONAL's "
@@ -451,55 +507,34 @@ def bgp_query(
             raise ValueError(
                 "OPTIONAL group shares no variable with the required "
                 "patterns — an unconstrained cross product is rejected")
-        opt, n_opt, opt_vars = _join_group(
-            triples, grp, num_partitions)
-        extra = [v[1:] for v in sorted(opt_vars - bound)]
-        if opt is None:
-            # empty optional side: every solution keeps nulls — extend
-            # in-place instead of joining (Ray's left_outer would never
-            # see the right schema)
-            def add_nulls(t: pa.Table) -> pa.Table:
-                for name in extra:
-                    t = t.append_column(
-                        name, pa.nulls(len(t), pa.string()))
-                return t
-
-            acc = acc.map_batches(add_nulls, batch_format="pyarrow")
+        opt = _join_group(triples, grp, num_partitions)
+        extra = sorted(opt_vars - bound)
+        if opt.n == 0:
+            ds = ds.map_batches(_add_null_cols(extra),
+                                batch_format="pyarrow")
         else:
-            acc = _solution_join(acc, n_acc, opt, n_opt, "left_outer",
-                                 [v[1:] for v in shared],
-                                 num_partitions=num_partitions)
-            acc = acc.select_columns(
-                [v[1:] for v in sorted(bound)] + extra)
+            ds = _solution_join(ds, acc.n, opt.ds, opt.n, "left_outer",
+                                shared, num_partitions=num_partitions)
+            ds = ds.select_columns(sorted(bound) + extra)
         bound |= opt_vars
 
     if minus_patterns:
         _validate_patterns(minus_patterns)
-        mvars = {v for pat in minus_patterns for v in _pattern_vars(pat)}
+        mvars = {v[1:] for pat in minus_patterns for v in _pattern_vars(pat)}
         shared = sorted(bound & mvars)
         if not shared:
             raise ValueError(
                 "MINUS group shares no variable with the solutions — "
                 "the subtraction would be a no-op or a cross product")
-        mins, n_min, _ = _join_group(triples, minus_patterns,
-                                     num_partitions)
-        if mins is not None:
+        mins = _join_group(triples, minus_patterns, num_partitions)
+        if mins.n:
             # the subtrahend's distinct join keys (anti join needs key
             # presence only)
-            key_cols = [v[1:] for v in shared]
-            mins = mins.map_batches(_distinct_keys(key_cols),
-                                    batch_format="pyarrow")
-            acc = _solution_join(acc, n_acc, mins, n_min, "left_anti",
-                                 key_cols, num_partitions=num_partitions)
-
-    if filters:
-        acc = _apply_filters(acc, filters)
-
-    acc = acc.select_columns(cols)
-    if distinct:
-        acc = coarse_group_reduce(
-            acc, cols, lambda g: g.drop_duplicates(subset=cols))
-    return acc
+            ds = _solution_join(
+                ds, acc.n, mins.ds.map_batches(_distinct_keys(shared),
+                                               batch_format="pyarrow"),
+                mins.n, "left_anti", shared, num_partitions=num_partitions)
+    return acc if ds is acc.ds else _compact(ds, sorted(bound))
 
 
 def khop_subgraph(triples, seeds, k: int = 2, direction: str = "both",

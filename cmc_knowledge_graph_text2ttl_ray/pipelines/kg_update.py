@@ -398,34 +398,24 @@ def _match_stored(kg_ds, spo_ds, num_partitions=None):
     object) appears in ``spo_ds`` — the delete-template → stored-row
     match (tombstones carry the STORED typing; absent triples yield no
     tombstone)."""
-    from cmc_knowledge_graph_text2ttl_ray.functions.cluster import (
-        default_join_partitions,
+    from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import (
+        Solutions,
+        _compact,
+        _distinct_keys,
+        _solution_join,
     )
-    from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import _compact
     from cmc_knowledge_graph_text2ttl_ray.stages.dedup_triples import (
         IDENTITY_COLS,
     )
 
     keys = ["subject", "predicate", "object"]
-
-    def key_side(t: pa.Table) -> pa.Table:
-        sub = pa.table({c + "__r": t[c].cast(pa.string()) for c in keys})
-        return sub.group_by(list(sub.column_names)).aggregate([])
-
-    left, n_l = _compact(kg_ds.select_columns(IDENTITY_COLS))
-    right, n_r = _compact(spo_ds.map_batches(key_side,
-                                             batch_format="pyarrow"))
-    if left is None or right is None:
-        import ray.data
-
-        return ray.data.from_arrow(pa.schema(
-            [(c, pa.string()) for c in IDENTITY_COLS]).empty_table())
-    np_join = num_partitions or max(1, min(
-        default_join_partitions(), -(-min(n_l, n_r) // 50_000)))
-    return left.join(right, join_type="left_semi",
-                     num_partitions=np_join,
-                     on=tuple(keys),
-                     right_on=tuple(c + "__r" for c in keys))
+    left = _compact(kg_ds.select_columns(IDENTITY_COLS), IDENTITY_COLS)
+    right = _compact(spo_ds.map_batches(_distinct_keys(keys),
+                                        batch_format="pyarrow"), keys)
+    if left.n == 0 or right.n == 0:
+        return Solutions.empty(IDENTITY_COLS).ds
+    return _solution_join(left.ds, left.n, right.ds, right.n, "left_semi",
+                          keys, num_partitions=num_partitions)
 
 
 def _collect_bgp_patterns(elements):
@@ -511,22 +501,20 @@ def _typing_map(kg_ds, preds):
         if preds is not None:
             t = t.filter(pc.is_in(t["predicate"],
                                   pa.array(sorted(preds), pa.string())))
-        df = t.select(["object"] + t_cols).to_pandas()
-        df = df.rename(columns={"object": "__val"})
-        return df.drop_duplicates()
+        return t.select(["object"] + t_cols).to_pandas().drop_duplicates()
 
     def resolve(g: pd.DataFrame) -> pd.DataFrame:
         g = g.copy()
-        for c in t_cols:  # sentinel only in typing cols, never __val
+        for c in t_cols:  # sentinel only in typing cols, never object
             g[c] = g[c].fillna(_NULL_SENT)
-        g = g.sort_values(["__val"] + t_cols)
-        g = g.drop_duplicates(subset="__val", keep="first")
+        g = g.sort_values(["object"] + t_cols)
+        g = g.drop_duplicates(subset="object", keep="first")
         for c in t_cols:
             g[c] = g[c].where(g[c] != _NULL_SENT)
         return g
 
     map_schema = pa.schema([(c, pa.string())
-                            for c in ["__val"] + t_cols])
+                            for c in ["object"] + t_cols])
 
     def as_strings(t: pa.Table) -> pa.Table:
         # all-null lang/datatype columns infer as Arrow null type,
@@ -536,8 +524,8 @@ def _typing_map(kg_ds, preds):
 
     return coarse_group_reduce(
         kg_ds.map_batches(pre, batch_format="pyarrow"),
-        ["__val"], resolve).map_batches(as_strings,
-                                        batch_format="pyarrow")
+        ["object"], resolve).map_batches(as_strings,
+                                         batch_format="pyarrow")
 
 
 def _typed_inserts(kg_ds, sols, ins_tmpls, elements, num_partitions):
@@ -548,14 +536,14 @@ def _typed_inserts(kg_ds, sols, ins_tmpls, elements, num_partitions):
     restriction against the KG's distinct-value typing map (unmatched
     values — shouldn't happen for object-bound vars — fall back to
     plain literal)."""
-    from cmc_knowledge_graph_text2ttl_ray.functions.cluster import (
-        default_join_partitions,
-    )
     from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_infer import (
         _dedup_triples,
         _expand_templates,
     )
-    from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import _compact
+    from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import (
+        _compact,
+        _solution_join,
+    )
 
     typing = _object_var_typing(ins_tmpls, elements)
     direct, lookup_groups = [], {}
@@ -580,13 +568,13 @@ def _typed_inserts(kg_ds, sols, ins_tmpls, elements, num_partitions):
         spo = sols.map_batches(
             _expand_spo([(s, p, o, {}) for s, p, o in tmpls]),
             batch_format="pyarrow")
-        left, n_l = _compact(spo)
-        if left is None:
+        left = _compact(spo, ["subject", "predicate", "object"])
+        if left.n == 0:
             continue
-        right, n_r = _compact(_typing_map(kg_ds, preds))
-        if right is None:
+        right = _compact(_typing_map(kg_ds, preds), ["object"] + t_cols)
+        if right.n == 0:
             # nothing stored under these predicates: literal fallback
-            joined = left.map_batches(
+            joined = left.ds.map_batches(
                 lambda t: t.append_column(
                     "object_kind",
                     pa.array(["literal"] * len(t), pa.string()))
@@ -596,11 +584,9 @@ def _typed_inserts(kg_ds, sols, ins_tmpls, elements, num_partitions):
                                pa.nulls(len(t), pa.string())),
                 batch_format="pyarrow")
         else:
-            np_join = num_partitions or max(1, min(
-                default_join_partitions(), -(-min(n_l, n_r) // 50_000)))
-            joined = left.join(right, join_type="left_outer",
-                               num_partitions=np_join,
-                               on=("object",), right_on=("__val",))
+            joined = _solution_join(left.ds, left.n, right.ds, right.n,
+                                    "left_outer", ["object"],
+                                    num_partitions=num_partitions)
 
             def fill(t: pa.Table) -> pa.Table:
                 import pyarrow.compute as pc
@@ -816,7 +802,7 @@ def _apply_one_update(kg_root: str, body: str, pfx: dict,
             kg = kg_read(kg_root).materialize()
         elements = GraphIndex()._parse_group(where_block, pfx)
         sols = _group_dataset(kg, elements, num_partitions)
-        sol_vars = list(sols.schema().names)
+        sol_vars = list(sols.cols)
         for s, p, o, _meta in del_tmpls + ins_tmpls:
             for term in (s, p, o):
                 if term.startswith("?") and term[1:] not in sol_vars:
@@ -824,10 +810,10 @@ def _apply_one_update(kg_root: str, body: str, pfx: dict,
                         f"template variable {term} not bound by WHERE")
         if spill:
             sols = spill_roundtrip(
-                sols, os.path.join(scratch, "sols"),
+                sols.ds, os.path.join(scratch, "sols"),
                 pa.schema([(n, pa.string()) for n in sol_vars]))
         else:
-            sols = sols.materialize()
+            sols = sols.ds
 
         adds_ds = removals_ds = None
         if del_tmpls:

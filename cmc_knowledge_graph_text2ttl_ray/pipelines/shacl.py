@@ -84,7 +84,7 @@ def validate_shapes(triples, shapes: list[NodeShape],
         coarse_group_reduce,
         default_join_partitions,
     )
-    from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import _compact
+    from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import _reblock
 
     import ray.data
 
@@ -103,7 +103,7 @@ def validate_shapes(triples, shapes: list[NodeShape],
 
     parts = []
     for shape in shapes:
-        focus, n_focus = _compact(
+        focus, n_focus = _reblock(
             _scan(triples, "?focus", rdf_type, shape.target_class))
         if focus is None:
             continue
@@ -131,13 +131,13 @@ def validate_shapes(triples, shapes: list[NodeShape],
 
             np_join = max(1, min(default_join_partitions(),
                                  -(-n_focus // 50_000)))
-            vals, n_vals = _compact(value_scan())
+            vals, n_vals = _reblock(value_scan())
             if vals is not None:
                 vals = vals.join(
                     focus.rename_columns({"focus": "focus__r"}),
                     join_type="left_semi", num_partitions=np_join,
                     on=("focus",), right_on=("focus__r",))
-                vals, n_vals = _compact(vals)
+                vals, n_vals = _reblock(vals)
 
             # ---- count constraints (per-focus, zero included) ----
             if ps.min_count > 0 or ps.max_count is not None:
@@ -153,7 +153,7 @@ def validate_shapes(triples, shapes: list[NodeShape],
                             all_missing, batch_format="pyarrow"))
                 else:
                     counted = vals.groupby("focus").count()
-                    counted, _ = _compact(counted)
+                    counted, _ = _reblock(counted)
                     joined = focus.join(
                         counted.rename_columns({"focus": "focus__r"}),
                         join_type="left_outer",
@@ -234,14 +234,14 @@ def validate_shapes(triples, shapes: list[NodeShape],
 
             # ---- class constraint: IRI values must be typed ----
             if ps.class_ is not None:
-                typed, n_typed = _compact(_scan(
+                typed, n_typed = _reblock(_scan(
                     triples, "?v", rdf_type, ps.class_,
                     rename={"v": "v__r"}))
                 iri_vals = vals.map_batches(
                     lambda t: t.filter(pc.fill_null(
                         pc.equal(t["object_kind"], "iri"), False)),
                     batch_format="pyarrow")
-                iri_vals, n_iri = _compact(iri_vals)
+                iri_vals, n_iri = _reblock(iri_vals)
                 if iri_vals is None:
                     continue
                 if typed is None:

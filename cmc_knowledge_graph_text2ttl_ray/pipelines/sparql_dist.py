@@ -89,6 +89,9 @@ import re
 import pyarrow as pa
 
 from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import (
+    Solutions,
+    _add_null_cols,
+    _bgp_solutions,
     _compact,
     _distinct_keys,
     _solution_join,
@@ -164,21 +167,6 @@ def _compose_graph_source(src, graph_iri: str):
     return factory
 
 
-def _pin_triple_schema(ds):
-    """Zero-block datasets (a filter emptied every block) lose their
-    schema; downstream pandas kernels then KeyError on the missing
-    triple columns — pin the canonical (subject, predicate, object)
-    empty table instead."""
-    sch = ds.schema()
-    if sch is None or not list(sch.names):
-        import ray.data
-
-        return ray.data.from_arrow(pa.schema(
-            [("subject", pa.string()), ("predicate", pa.string()),
-             ("object", pa.string())]).empty_table())
-    return ds
-
-
 def _not_in_filter(var_name: str, bad: frozenset):
     def fn(b, _v=var_name, _bad=bad):
         return b.get(_v) is not None and b[_v] not in _bad
@@ -207,7 +195,7 @@ def _closure_source(pred: str):
             batch_format="pyarrow")
         rule = Rule([("?x", pred, "?y"), ("?y", pred, "?z")],
                     [("?x", pred, "?z")], name="closure")
-        return forward_chain(_pin_triple_schema(base), [rule])["closure"]
+        return forward_chain(base, [rule])["closure"]
 
     return factory
 
@@ -245,11 +233,8 @@ def _path_edge_dataset(triples, ast, sent: str, num_partitions=None):
             })
 
         parts.append(ds.map_batches(to_edges, batch_format="pyarrow"))
-    edges = parts[0]
-    for other in parts[1:]:
-        edges = edges.union(other)
     return coarse_group_reduce(
-        edges, ["subject", "object"],
+        _union_all(parts), ["subject", "object"],
         lambda g: g.drop_duplicates(subset=["subject", "object"]))
 
 
@@ -263,8 +248,7 @@ def _complex_closure_source(inner_ast, sent: str):
             forward_chain,
         )
 
-        edges = _pin_triple_schema(
-            _path_edge_dataset(triples, inner_ast, sent))
+        edges = _path_edge_dataset(triples, inner_ast, sent)
         rule = Rule([("?x", sent, "?y"), ("?y", sent, "?z")],
                     [("?x", sent, "?z")], name="closure")
         return forward_chain(edges, [rule])["closure"]
@@ -316,8 +300,7 @@ def _zero_length_source(s_term, o_term, sent: str):
                 "object": n,
             })
 
-        return _pin_triple_schema(
-            nodes.map_batches(reflexive, batch_format="pyarrow"))
+        return nodes.map_batches(reflexive, batch_format="pyarrow")
 
     return factory
 
@@ -487,25 +470,19 @@ def _str_cols(t: pa.Table) -> pa.Table:
 
 
 def _null_count(ds, cols) -> int:
-    """Nulls in ``ds``'s ``cols`` (a column it lacks counts none)."""
-    return int(ds.map_batches(
+    """Nulls in ``ds``'s ``cols`` (a column it lacks counts none): one
+    row per block, summed here."""
+    return sum(r["n"] for r in ds.map_batches(
         lambda t, _c=tuple(cols): pa.table({"n": pa.array(
             [sum(t[c].null_count for c in _c if c in t.column_names)],
             pa.int64())}),
-        batch_format="pyarrow").sum("n") or 0)
+        batch_format="pyarrow").take_all())
 
 
-def _empty_solutions(cols):
-    import ray.data
-
-    return ray.data.from_arrow(
-        pa.schema([(c, pa.string()) for c in cols]).empty_table())
-
-
-def _strata_prep(ds, shared, with_lid):
+def _strata_prep(sols, shared, with_lid):
     """String-cast + (optionally) full-row content hash ``__lid`` +
-    observed null-bitmask ``__stratum`` over ``shared``; materialized
-    so the per-stratum picks below reuse one execution."""
+    observed null-bitmask ``__stratum`` over ``shared``; compacted so
+    the per-stratum picks below reuse one execution."""
     import pyarrow.compute as pc
 
     def add_lid(df, _=None):
@@ -534,11 +511,12 @@ def _strata_prep(ds, shared, with_lid):
                              else t[c].cast(pa.string()))
                          for c in t.column_names})
 
-    out = ds.map_batches(_str_cols, batch_format="pyarrow")
+    out = sols.ds.map_batches(_str_cols, batch_format="pyarrow")
     if with_lid:
         out = out.map_batches(add_lid, batch_format="pandas") \
                  .map_batches(fix_types, batch_format="pyarrow")
-    return out.map_batches(add_mask, batch_format="pyarrow").materialize()
+    return _compact(out.map_batches(add_mask, batch_format="pyarrow"),
+                    sols.cols + ("__lid",) * with_lid + ("__stratum",))
 
 
 def _compat_matches(lm, rm, shared, out_cols, cross_on_disjoint=True,
@@ -565,11 +543,20 @@ def _compat_matches(lm, rm, shared, out_cols, cross_on_disjoint=True,
     def pick(src, mask):
         drop = unbound(mask) | {"__stratum"}
 
-        def fn(t: pa.Table, _m=mask) -> pa.Table:
-            t = t.filter(pc.equal(t["__stratum"], _m))
-            return t.select([c for c in t.column_names if c not in drop])
+        keep = [c for c in src.cols if c not in drop]
 
-        return _compact(src.map_batches(fn, batch_format="pyarrow"))
+        def fn(t: pa.Table, _m=mask) -> pa.Table:
+            return t.filter(pc.equal(t["__stratum"], _m)).select(keep)
+
+        return _compact(src.ds.map_batches(fn, batch_format="pyarrow"),
+                        keep)
+
+    def masks(src):
+        # observed null bitmasks, distinct per block (Dataset.unique
+        # runs a limit=1 aggregate)
+        return sorted({r["__stratum"] for r in src.ds.map_batches(
+            lambda t: t.group_by(["__stratum"]).aggregate([]),
+            batch_format="pyarrow").take_all()})
 
     def cross_key(ds):
         return ds.map_batches(
@@ -588,27 +575,29 @@ def _compat_matches(lm, rm, shared, out_cols, cross_on_disjoint=True,
 
     r_strata = {}
     parts = []
-    for ml in sorted(lm.unique("__stratum")):
-        stratum, n_l = pick(lm, ml)
-        if stratum is None:
+    r_masks = masks(rm)
+    for ml in masks(lm):
+        stratum = pick(lm, ml)
+        if stratum.n == 0:
             continue
-        for mr in sorted(rm.unique("__stratum")):
+        for mr in r_masks:
             either_unbound = unbound(ml) | unbound(mr)
             join_on = [c for c in shared if c not in either_unbound]
             if not join_on and not cross_on_disjoint:
                 continue  # MINUS: disjoint domains remove nothing
             if mr not in r_strata:
                 r_strata[mr] = pick(rm, mr)
-            rstr, n_r = r_strata[mr]
-            if rstr is None:
+            rstr = r_strata[mr]
+            if rstr.n == 0:
                 continue
             if join_on:
-                j = _solution_join(stratum, n_l, rstr, n_r, "inner",
-                                   join_on)
+                j = _solution_join(stratum.ds, stratum.n, rstr.ds, rstr.n,
+                                   "inner", join_on)
             else:
                 # no var bound on both sides: everything compatible
-                j = _solution_join(cross_key(stratum), n_l,
-                                   cross_key(rstr), n_r, "inner", ["__x"])
+                j = _solution_join(cross_key(stratum.ds), stratum.n,
+                                   cross_key(rstr.ds), rstr.n, "inner",
+                                   ["__x"])
             parts.append(j.map_batches(project, batch_format="pyarrow"))
     return parts
 
@@ -628,9 +617,16 @@ def _matched_lid_anti(lm, matches):
     if n_matched == 0:
         # a fully-empty materialized dataset loses its schema and the
         # anti-join would fail resolving __lid; nothing matched
-        return lm
-    return _solution_join(lm, lm.count(), matched_ids, n_matched,
+        return lm.ds
+    return _solution_join(lm.ds, lm.n, matched_ids, n_matched,
                           "left_anti", ["__lid"])
+
+
+def _union_all(parts):
+    out = parts[0]
+    for other in parts[1:]:
+        out = out.union(other)
+    return out
 
 
 def _compat_inner_join(left, right, shared, out_cols):
@@ -643,34 +639,27 @@ def _compat_inner_join(left, right, shared, out_cols):
     parts = _compat_matches(lm, rm, shared, out_cols,
                             cross_on_disjoint=True, with_lid=False)
     if not parts:
-        return _empty_solutions(out_cols)
-    out = parts[0]
-    for other in parts[1:]:
-        out = out.union(other)
-    osch = out.schema()
-    if osch is None or not list(osch.names):  # zero blocks → schema lost
-        return _empty_solutions(out_cols)
-    return out
+        return Solutions.empty(out_cols)
+    return _compact(_union_all(parts), out_cols)
 
 
 def _join_back(acc, other, shared, nullable):
     """SPARQL Join of the group's solutions with a separately evaluated
-    sub-result (UNION, GRAPH group, subquery) on ``shared``; ``None``
-    when either side is empty.  Shared vars that may be null on either
-    side take the per-binding path (:func:`_compat_inner_join`)."""
-    left, n_l = _compact(acc)
-    right, n_r = _compact(other)
-    if left is None or right is None:
-        return None
-    out_cols = sorted(set(left.schema().names) | set(right.schema().names))
-    if set(shared) & nullable or _null_count(right, shared):
-        return _compat_inner_join(left, right, shared, out_cols)
-    right = right.map_batches(_str_cols, batch_format="pyarrow")
-    return _solution_join(left, n_l, right, n_r, "inner",
-                          shared).select_columns(out_cols)
+    sub-result (UNION, GRAPH group, subquery) on ``shared``.  Shared
+    vars that may be null on either side take the per-binding path
+    (:func:`_compat_inner_join`)."""
+    out_cols = sorted(set(acc.cols) | set(other.cols))
+    if acc.n == 0 or other.n == 0:
+        return Solutions.empty(out_cols)
+    if set(shared) & nullable or _null_count(other.ds, shared):
+        return _compat_inner_join(acc, other, shared, out_cols)
+    right = other.ds.map_batches(_str_cols, batch_format="pyarrow")
+    return _compact(_solution_join(acc.ds, acc.n, right, other.n, "inner",
+                                   shared).select_columns(out_cols),
+                    out_cols)
 
 
-def _left_join(acc, opt_ds, nullable):
+def _left_join(acc, opt, nullable):
     """SPARQL algebra ``LeftJoin(acc, opt)`` (§18.5): for each solution
     μ1, extend by every COMPATIBLE optional solution μ2 (agree on the
     variables bound in BOTH), or keep μ1 unextended when none matches.
@@ -690,50 +679,39 @@ def _left_join(acc, opt_ds, nullable):
     the full left row (identical rows have identical match status, so
     bag multiplicities are preserved; 64-bit hash, collision odds
     negligible at solution-set size)."""
-    opt_cols = [c for c in opt_ds.schema().names
-                if not c.startswith("__p")]
-    acc_cols = list(acc.schema().names)
-    shared = sorted(set(acc_cols) & set(opt_cols))
+    shared = sorted(set(acc.cols) & set(opt.cols))
     if not shared:
         raise ValueError(
             "OPTIONAL group shares no variable with the required "
             "patterns — an unconstrained cross product is rejected")
-    extra = sorted(set(opt_cols) - set(shared))
-    out_cols = sorted(set(acc_cols) | set(opt_cols))
+    extra = sorted(set(opt.cols) - set(shared))
+    out_cols = sorted(set(acc.cols) | set(opt.cols))
     null_shared = sorted(set(shared) & nullable)
 
-    left, n_l = _compact(acc)
-    right, n_r = _compact(opt_ds.select_columns(opt_cols))
-    if left is None:
-        return _empty_solutions(out_cols), set(extra)
-    if right is None:
-        def add_nulls(t: pa.Table, _extra=tuple(extra)) -> pa.Table:
-            for name in _extra:
-                t = t.append_column(name, pa.nulls(len(t), pa.string()))
-            return t
+    if acc.n == 0:
+        return Solutions.empty(out_cols), set(extra)
+    if opt.n == 0:
+        return _compact(acc.ds.map_batches(_add_null_cols(extra),
+                                           batch_format="pyarrow"),
+                        out_cols), set(extra)
 
-        return (left.map_batches(add_nulls, batch_format="pyarrow"),
-                set(extra))
-
-    if not null_shared and not _null_count(right, shared):
-        right = right.map_batches(_str_cols, batch_format="pyarrow")
-        j = _solution_join(left, n_l, right, n_r, "left_outer", shared)
-        return j.select_columns(out_cols), set(extra)
+    if not null_shared and not _null_count(opt.ds, shared):
+        right = opt.ds.map_batches(_str_cols, batch_format="pyarrow")
+        j = _solution_join(acc.ds, acc.n, right, opt.n, "left_outer",
+                           shared)
+        return _compact(j.select_columns(out_cols), out_cols), set(extra)
 
     # ---- general per-binding compatibility (nulls on EITHER side) ----
-    lm = _strata_prep(left, shared, with_lid=True)
-    rm = _strata_prep(right, shared, with_lid=False)
+    lm = _strata_prep(acc, shared, with_lid=True)
+    rm = _strata_prep(opt, shared, with_lid=False)
     parts = _compat_matches(lm, rm, shared, out_cols,
                             cross_on_disjoint=True, with_lid=True)
     if parts:
-        matches = parts[0]
-        for other in parts[1:]:
-            matches = matches.union(other)
-        matches = matches.materialize()
+        matches = _union_all(parts).materialize()
         unmatched = _matched_lid_anti(lm, matches)
+        parts = [matches, unmatched]
     else:
-        matches = _empty_solutions(out_cols)
-        unmatched = lm
+        parts = [lm.ds]
 
     def pad_left(t: pa.Table, _oc=tuple(out_cols)) -> pa.Table:
         cols = {}
@@ -743,13 +721,9 @@ def _left_join(acc, opt_ds, nullable):
         return pa.table(cols, schema=pa.schema(
             [(c, pa.string()) for c in _oc]))
 
-    out = matches.map_batches(pad_left, batch_format="pyarrow") \
-                 .union(unmatched.map_batches(pad_left,
-                                              batch_format="pyarrow"))
-    osch = out.schema()
-    if osch is None or not list(osch.names):  # zero blocks → schema lost
-        out = _empty_solutions(out_cols)
-    return out, set(extra)
+    return _compact(_union_all([p.map_batches(pad_left,
+                                              batch_format="pyarrow")
+                                for p in parts]), out_cols), set(extra)
 
 
 def _minus_nullable(left, right, shared):
@@ -757,30 +731,14 @@ def _minus_nullable(left, right, shared):
     side: :func:`_compat_matches` with the disjoint-domain guard
     (pairs sharing no bound var remove nothing) marks removed left
     rows by content hash; the survivors anti-join back."""
-    out_cols = list(left.schema().names)
     lm = _strata_prep(left, shared, with_lid=True)
     rm = _strata_prep(right, shared, with_lid=False)
     parts = _compat_matches(lm, rm, shared, [],
                             cross_on_disjoint=False, with_lid=True)
+    kept = (_matched_lid_anti(lm, _union_all(parts).materialize())
+            if parts else lm.ds)
+    return _compact(kept.select_columns(list(left.cols)), left.cols)
 
-    def drop_helpers(t: pa.Table, _oc=tuple(out_cols)) -> pa.Table:
-        return pa.table({c: t[c] for c in _oc})
-
-    def pin_schema(ds):
-        dsch = ds.schema()
-        if dsch is None or not list(dsch.names):  # zero blocks
-            return _empty_solutions(out_cols)
-        return ds
-
-    if not parts:
-        return pin_schema(
-            lm.map_batches(drop_helpers, batch_format="pyarrow"))
-    removed = parts[0]
-    for other in parts[1:]:
-        removed = removed.union(other)
-    kept = _matched_lid_anti(lm, removed.materialize())
-    return pin_schema(
-        kept.map_batches(drop_helpers, batch_format="pyarrow"))
 
 _MAX_ENUM_GRAPHS = 64
 
@@ -799,7 +757,6 @@ def _eval_var_graph_group(triples, gvar, inner, num_partitions):
     this path (they lower to quad patterns with the graph var as a
     join term — unbounded-graph safe)."""
     import pyarrow.compute as pc
-    import ray.data
 
     from cmc_knowledge_graph_text2ttl_ray.functions.cluster import (
         coarse_group_reduce,
@@ -832,14 +789,11 @@ def _eval_var_graph_group(triples, gvar, inner, num_partitions):
     graphs = sorted(r["g"] for r in distinct.take_all() if r["g"])
 
     parts = []
-    expected_cols = {gvar}
+    out_cols = {gvar}
     for gname in graphs:
         sub = _group_dataset(_graph_source(gname)(triples), inner,
                              num_partitions)
-        sub_sch = sub.schema()
-        if sub_sch is not None:
-            expected_cols |= {c for c in sub_sch.names
-                              if not c.startswith("__p")}
+        out_cols |= set(sub.cols)
 
         def bind_graph(t: pa.Table, _g=gname, _v=gvar) -> pa.Table:
             if _v in t.column_names:
@@ -849,23 +803,15 @@ def _eval_var_graph_group(triples, gvar, inner, num_partitions):
                     pc.equal(t[_v].cast(pa.string()), _g), True))
             cols = {c: t[c].cast(pa.string()) for c in t.column_names}
             cols[_v] = pa.array([_g] * len(t), pa.string())
-            names_ = sorted(cols)
-            return pa.table({c: cols[c] for c in names_},
-                            schema=pa.schema([(c, pa.string())
-                                              for c in names_]))
+            return pa.table({c: cols[c] for c in sorted(cols)})
 
-        parts.append(sub.map_batches(bind_graph, batch_format="pyarrow"))
-    empty = pa.schema([(c, pa.string())
-                       for c in sorted(expected_cols)]).empty_table()
+        if sub.n:
+            parts.append(sub.ds.map_batches(bind_graph,
+                                            batch_format="pyarrow"))
+    out_cols = sorted(out_cols)
     if not parts:
-        return ray.data.from_arrow(empty)
-    out = parts[0]
-    for other in parts[1:]:
-        out = out.union(other)
-    osch = out.schema()
-    if osch is None or not list(osch.names):  # every per-graph result empty
-        return ray.data.from_arrow(empty)
-    return out
+        return Solutions.empty(out_cols)
+    return _compact(_union_all(parts), out_cols)
 
 
 def _translate_group(elements):
@@ -1030,12 +976,9 @@ def _translate_group(elements):
 
 
 def _group_dataset(triples, elements, num_partitions):
-    """Evaluate one translated group (recursive for UNION arms) into a
-    solution Dataset with one string column per variable."""
-    from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import (
-        bgp_query,
-    )
-
+    """Evaluate one translated group (recursive for UNION arms) into
+    :class:`Solutions` with one string column per variable (fresh
+    ``__p`` path variables dropped)."""
     (patterns, optionals, minuses, filters, unions, binds,
      values_blocks, exists_groups, subqueries, sources,
      graph_groups, var_graph_groups) = _translate_group(elements)
@@ -1069,55 +1012,40 @@ def _group_dataset(triples, elements, num_partitions):
         resolved = ([src(triples) if src is not None else None
                      for src in sources]
                     if any(src is not None for src in sources) else None)
-        acc = bgp_query(triples, patterns,
-                        minus_patterns=plain_minus or None,
-                        num_partitions=num_partitions,
-                        pattern_sources=resolved)
+        acc = _bgp_solutions(triples, patterns, num_partitions,
+                             minus_patterns=plain_minus or None,
+                             pattern_sources=resolved)
     elif optionals or minuses:
         raise NotImplementedError(
             "distributed SPARQL: OPTIONAL/MINUS need required patterns")
 
     for arms in unions:
-        arm_ds = [_group_dataset(triples, arm, num_partitions)
-                  for arm in arms]
-        all_cols = sorted({c for d in arm_ds for c in d.schema().names})
-        common = set(arm_ds[0].schema().names)
-        for d in arm_ds[1:]:
-            common &= set(d.schema().names)
-        nullable |= set(all_cols) - common
+        arm_sols = [_group_dataset(triples, arm, num_partitions)
+                    for arm in arms]
+        all_cols = sorted({c for a in arm_sols for c in a.cols})
+        nullable |= set(all_cols) - set.intersection(
+            *(set(a.cols) for a in arm_sols))
 
-        def pad(cols):
-            def fn(t: pa.Table) -> pa.Table:
-                out = {}
-                for c in cols:
-                    out[c] = (t[c].cast(pa.string())
-                              if c in t.column_names
-                              else pa.nulls(len(t), pa.string()))
-                return pa.table(
-                    out, schema=pa.schema([(c, pa.string())
-                                           for c in cols]))
+        def pad(t: pa.Table, _cols=tuple(all_cols)) -> pa.Table:
+            return pa.table(
+                {c: (t[c].cast(pa.string()) if c in t.column_names
+                     else pa.nulls(len(t), pa.string())) for c in _cols},
+                schema=pa.schema([(c, pa.string()) for c in _cols]))
 
-            return fn
-
-        uds = arm_ds[0].map_batches(pad(all_cols), batch_format="pyarrow")
-        for other in arm_ds[1:]:
-            uds = uds.union(other.map_batches(pad(all_cols),
-                                              batch_format="pyarrow"))
+        uds = _compact(_union_all(
+            [a.ds.map_batches(pad, batch_format="pyarrow")
+             for a in arm_sols]), all_cols)
         if acc is None:
             acc = uds
-        else:
-            shared = sorted(set(acc.schema().names) & set(all_cols))
-            if not shared:
-                raise NotImplementedError(
-                    "distributed SPARQL: UNION group sharing no variable "
-                    "with the rest of the WHERE clause (cross product)")
-            # a UNION arm lacking a shared var leaves it null: _join_back
-            # then takes the per-binding Join
-            joined = _join_back(acc, uds, shared, nullable)
-            if joined is None:
-                return _empty_solutions(
-                    sorted(set(acc.schema().names) | set(all_cols)))
-            acc = joined
+            continue
+        shared = sorted(set(acc.cols) & set(all_cols))
+        if not shared:
+            raise NotImplementedError(
+                "distributed SPARQL: UNION group sharing no variable "
+                "with the rest of the WHERE clause (cross product)")
+        # a UNION arm lacking a shared var leaves it null: _join_back
+        # then takes the per-binding Join
+        acc = _join_back(acc, uds, shared, nullable)
 
     # rich constant-GRAPH groups: each evaluates recursively over the
     # graph-filtered source, then joins back on the shared vars
@@ -1130,44 +1058,37 @@ def _group_dataset(triples, elements, num_partitions):
         else:
             gds = _eval_var_graph_group(triples, gg_key, g_inner,
                                         num_partitions)
-        g_cols = [c for c in gds.schema().names
-                  if not c.startswith("__p")]
-        gds = gds.select_columns(g_cols)
         if acc is None:
             acc = gds
             # the recursive evaluation's own nullable set is not
             # plumbed out; mark every var conservatively (only routes
             # later joins to the general per-binding path)
-            nullable |= set(g_cols)
+            nullable |= set(gds.cols)
             continue
-        shared = sorted(set(acc.schema().names) & set(g_cols))
+        shared = sorted(set(acc.cols) & set(gds.cols))
         if not shared:
             raise NotImplementedError(
                 "distributed SPARQL: GRAPH group sharing no variable "
                 "with the rest of the WHERE clause (cross product)")
-        joined = _join_back(acc, gds, shared, nullable)
-        if joined is None:
-            return _empty_solutions(
-                sorted(set(acc.schema().names) | set(g_cols)))
-        acc = joined
+        acc = _join_back(acc, gds, shared, nullable)
         # vars the GRAPH group introduced may be null (inner OPTIONAL)
-        nullable |= set(g_cols) - set(shared)
+        nullable |= set(gds.cols) - set(shared)
 
     if acc is None:
         raise NotImplementedError("distributed SPARQL: empty WHERE body")
 
     # OPTIONAL groups, in syntactic order: plain BGPs evaluate through
-    # bgp_query, rich groups (paths / FILTER / UNION inside) through
-    # the recursive group evaluator; both left-join via _left_join,
-    # which switches to per-binding-substitution strata when the group
-    # correlates through a previous OPTIONAL's nullable variables
+    # the BGP planner, rich groups (paths / FILTER / UNION inside)
+    # through the recursive group evaluator; both left-join via
+    # _left_join, which switches to per-binding-substitution strata
+    # when the group correlates through a previous OPTIONAL's nullable
+    # variables
     for opt_kind, payload in optionals:
         if opt_kind == "plain":
-            opt_ds = bgp_query(triples, payload,
-                               num_partitions=num_partitions)
+            opt = _bgp_solutions(triples, payload, num_partitions)
         else:
-            opt_ds = _group_dataset(triples, payload, num_partitions)
-        acc, new_nullable = _left_join(acc, opt_ds, nullable)
+            opt = _group_dataset(triples, payload, num_partitions)
+        acc, new_nullable = _left_join(acc, opt, nullable)
         nullable |= new_nullable
 
     # remaining MINUS groups, in order: remove solutions with a
@@ -1175,101 +1096,72 @@ def _group_dataset(triples, elements, num_partitions):
     # sharing none removes nothing)
     for min_kind, min_payload in rest_minuses:
         if min_kind == "plain":
-            min_ds = bgp_query(triples, min_payload,
-                               num_partitions=num_partitions)
+            mins = _bgp_solutions(triples, min_payload, num_partitions)
         else:
-            min_ds = _group_dataset(triples, min_payload, num_partitions)
-        min_cols = [c for c in min_ds.schema().names
-                    if not c.startswith("__p")]
-        shared = sorted(set(acc.schema().names) & set(min_cols))
-        if not shared:
+            mins = _group_dataset(triples, min_payload, num_partitions)
+        shared = sorted(set(acc.cols) & set(mins.cols))
+        if not shared or acc.n == 0 or mins.n == 0:
             continue  # disjoint domains remove nothing (§18.5 guard)
-        left, n_l = _compact(acc)
-        right, n_r = _compact(min_ds.select_columns(shared))
-        if left is None:
-            acc = _empty_solutions(acc.schema().names)
-            continue
-        if right is None:
-            continue
-        if not (set(shared) & nullable) and not _null_count(right, shared):
-            acc = _solution_join(
-                left, n_l,
-                right.map_batches(_distinct_keys(shared),
-                                  batch_format="pyarrow"), n_r,
-                "left_anti", shared)
+        if not (set(shared) & nullable) and not _null_count(mins.ds,
+                                                           shared):
+            acc = _compact(_solution_join(
+                acc.ds, acc.n,
+                mins.ds.map_batches(_distinct_keys(shared),
+                                    batch_format="pyarrow"), mins.n,
+                "left_anti", shared), acc.cols)
         else:
             # per-binding MINUS (§18.5): μ1 removed iff some μ2 agrees
             # on every var bound in BOTH and they share at least one
             # bound var — the same both-sides strata machinery as
             # _left_join, collecting REMOVED ids instead of matches
-            acc = _minus_nullable(left, right, shared)
+            acc = _minus_nullable(acc, mins, shared)
 
     # subqueries: evaluated in their own scope, natural-joined back on
     # the shared variables (SPARQL 1.1 §12 bottom-up evaluation)
     for sub_text, sub_prefixes in subqueries:
-        sub = sparql_select(triples, sub_text, num_partitions,
-                            _base_prefixes=sub_prefixes)
-        sub_cols = set(sub.schema().names)
-        shared = sorted(set(acc.schema().names) & sub_cols)
+        sub = _select_solutions(triples, sub_text, num_partitions,
+                                sub_prefixes)
+        shared = sorted(set(acc.cols) & set(sub.cols))
         if not shared:
             raise NotImplementedError(
                 "distributed SPARQL: subquery sharing no variable with "
                 "the outer group (cross product)")
-        joined = _join_back(acc, sub, shared, nullable)
-        if joined is None:
-            return _empty_solutions(
-                sorted(set(acc.schema().names) | sub_cols))
-        acc = joined
-        nullable |= sub_cols - set(shared)
+        acc = _join_back(acc, sub, shared, nullable)
+        nullable |= set(sub.cols) - set(shared)
 
     # evaluation order for the supported subset: VALUES (inline joins) →
     # BIND (derived vars) → EXISTS/FILTER (SPARQL applies filters at
     # group end; negated-property-set filters must also see their fresh
     # __p vars)
+    ds, cols = acc.ds, acc.cols
     for vars_, rows in values_blocks:
-        acc = _apply_values(acc, vars_, rows)
+        ds = _apply_values(ds, vars_, rows)
+        cols = tuple(sorted(set(cols) | set(vars_)))
     if binds:
-        acc = _apply_binds(acc, binds)
+        ds = _apply_binds(ds, binds)
+        cols = tuple(sorted(set(cols) | {var for var, _ in binds}))
     for negated, group_elements in exists_groups:
         probe = _group_dataset(triples, group_elements, num_partitions)
-        probe_cols = set(probe.schema().names)
-        shared = sorted(set(acc.schema().names) & probe_cols)
-        if not shared:
-            # uncorrelated EXISTS: group emptiness decides globally
-            any_row = probe.limit(1).count() > 0
-            keep = any_row != negated
-            if keep:
-                continue
-            acc = _empty_solutions(acc.schema().names)
+        acc = _compact(ds, cols)
+        ds = acc.ds
+        shared = sorted(set(cols) & set(probe.cols))
+        if not shared or acc.n == 0 or probe.n == 0:
+            # uncorrelated EXISTS, or nothing to join: group emptiness
+            # decides
+            if (probe.n > 0) == negated:
+                ds = Solutions.empty(cols).ds
             continue
-        left, n_l = _compact(acc)
-        right, n_r = _compact(probe)
-        if left is None:
-            continue  # no solutions left; nothing to subtract from
-        if right is None:
-            acc = left if negated else _empty_solutions(
-                left.schema().names)
-            continue
-        acc = _solution_join(
-            left, n_l,
-            right.map_batches(_distinct_keys(shared),
-                              batch_format="pyarrow"), n_r,
+        ds = _solution_join(
+            acc.ds, acc.n,
+            probe.ds.map_batches(_distinct_keys(shared),
+                                 batch_format="pyarrow"), probe.n,
             "left_anti" if negated else "left_semi", shared)
-    pre_sch = acc.schema()
     if filters:
-        acc = _row_filters(acc, filters)
-    sch = acc.schema()
-    if sch is None or not list(sch.names):
-        # a filter that empties every block loses the schema (zero
-        # blocks / empty-name blocks); pin the pre-filter column set
-        names = pre_sch.names if pre_sch is not None else []
-        return _empty_solutions(
-            [c for c in names if not c.startswith("__p")])
-    internal = [c for c in sch.names if c.startswith("__p")]
-    if internal:
-        acc = acc.select_columns(
-            [c for c in sch.names if not c.startswith("__p")])
-    return acc
+        ds = _row_filters(ds, filters)
+    out = [c for c in cols if not c.startswith("__p")]
+    if len(out) < len(cols):
+        ds = ds.select_columns(out)
+    return _compact(ds, out)
 
 
 def sparql_query(triples, query: str, num_partitions: int | None = None):
@@ -1324,6 +1216,78 @@ _RE_AGG = re.compile(
     re.IGNORECASE)
 
 
+def _agg_frame(rows, group_vars, agg_items):
+    """Per-group rows (:func:`_agg_row`) as a typed DataFrame: COUNT →
+    int64, SUM/AVG → float64, everything else object (None unbound)."""
+    import pandas as pd
+
+    int_aliases = {alias for fname, _d, _v, _s, alias in agg_items
+                   if fname == "COUNT"}
+    float_aliases = {alias for fname, _d, _v, _s, alias in agg_items
+                     if fname in ("SUM", "AVG")}
+    cols = group_vars + [alias for *_x, alias in agg_items]
+    out = pd.DataFrame(
+        [{c: r.get(c) for c in cols} for r in rows], columns=cols)
+    for a in int_aliases:
+        out[a] = out[a].astype("int64")
+    for a in float_aliases:
+        out[a] = out[a].astype("float64")
+    for c in out.columns:
+        if c not in int_aliases and c not in float_aliases:
+            out[c] = out[c].astype(object).where(out[c].notna(), None)
+    return out
+
+
+def _agg_row(g, row: dict, agg_items) -> dict:
+    """One group's aggregate values, added to ``row`` (its group
+    keys): ``GraphIndex._apply_aggregation``'s semantics."""
+    for fname, dist, var, sep, alias in agg_items:
+        if var is None:  # COUNT(*) / COUNT(DISTINCT *)
+            row[alias] = int(len(g.drop_duplicates()) if dist
+                             else len(g))
+            continue
+        vals = [v for v in g[var].tolist()
+                if v is not None and v == v]
+        if dist:
+            vals = sorted({str(v) for v in vals})
+        if fname == "COUNT":
+            row[alias] = int(len(vals))
+            continue
+        if fname == "GROUP_CONCAT":
+            row[alias] = sep.join(
+                str(v) for v in (vals if dist
+                                 else sorted(map(str, vals))))
+            continue
+        if not vals:
+            continue  # SUM/MIN/MAX/AVG/SAMPLE of nothing: unbound
+        if fname == "SAMPLE":
+            row[alias] = str(min(str(v) for v in vals))
+            continue
+        nums = []
+        for v in vals:
+            try:
+                nums.append(float(v))
+            except (TypeError, ValueError):
+                nums = None
+                break
+        if fname in ("SUM", "AVG"):
+            if nums is None:
+                raise ValueError(
+                    f"aggregate {fname} over non-numeric values "
+                    f"of ?{var}")
+            row[alias] = sum(nums) / (len(nums) if fname == "AVG"
+                                      else 1)
+        elif nums is not None:
+            x = min(nums) if fname == "MIN" else max(nums)
+            row[alias] = (str(int(x)) if float(x).is_integer()
+                          else str(x))
+        else:
+            svals = [str(v) for v in vals]
+            row[alias] = min(svals) if fname == "MIN" else max(svals)
+    return row
+
+
+
 def _general_aggregate(acc, group_vars, agg_items):
     """Aggregates Ray's native aggregate objects can't express —
     DISTINCT modifiers, SAMPLE, GROUP_CONCAT, and MIN/MAX with the
@@ -1340,64 +1304,11 @@ def _general_aggregate(acc, group_vars, agg_items):
     minimum lexical value (deterministic), GROUP_CONCAT → values in
     SORTED order (deviation, documented: a distributed engine has no
     solution order; equals the in-memory result under DISTINCT)."""
-    import numpy as np
     import pandas as pd
 
     from cmc_knowledge_graph_text2ttl_ray.functions.cluster import (
         coarse_group_reduce,
     )
-
-    out_aliases = [alias for *_x, alias in agg_items]
-    int_aliases = {alias for fname, _d, _v, _s, alias in agg_items
-                   if fname == "COUNT"}
-    float_aliases = {alias for fname, _d, _v, _s, alias in agg_items
-                     if fname in ("SUM", "AVG")}
-
-    def agg_group(g: pd.DataFrame, row: dict) -> dict:
-        for fname, dist, var, sep, alias in agg_items:
-            if var is None:  # COUNT(*) / COUNT(DISTINCT *)
-                row[alias] = int(len(g.drop_duplicates()) if dist
-                                 else len(g))
-                continue
-            vals = [v for v in g[var].tolist()
-                    if v is not None and v == v]
-            if dist:
-                vals = sorted({str(v) for v in vals})
-            if fname == "COUNT":
-                row[alias] = int(len(vals))
-                continue
-            if fname == "GROUP_CONCAT":
-                row[alias] = sep.join(
-                    str(v) for v in (vals if dist
-                                     else sorted(map(str, vals))))
-                continue
-            if not vals:
-                continue  # SUM/MIN/MAX/AVG/SAMPLE of nothing: unbound
-            if fname == "SAMPLE":
-                row[alias] = str(min(str(v) for v in vals))
-                continue
-            nums = []
-            for v in vals:
-                try:
-                    nums.append(float(v))
-                except (TypeError, ValueError):
-                    nums = None
-                    break
-            if fname in ("SUM", "AVG"):
-                if nums is None:
-                    raise ValueError(
-                        f"aggregate {fname} over non-numeric values "
-                        f"of ?{var}")
-                row[alias] = sum(nums) / (len(nums) if fname == "AVG"
-                                          else 1)
-            elif nums is not None:
-                x = min(nums) if fname == "MIN" else max(nums)
-                row[alias] = (str(int(x)) if float(x).is_integer()
-                              else str(x))
-            else:
-                svals = [str(v) for v in vals]
-                row[alias] = min(svals) if fname == "MIN" else max(svals)
-        return row
 
     keys = group_vars or ["__g"]
     if not group_vars:
@@ -1412,38 +1323,33 @@ def _general_aggregate(acc, group_vars, agg_items):
             key = key if isinstance(key, tuple) else (key,)
             row = {v: k for v, k in zip(group_vars, key)
                    if k is not None and k == k}
-            rows.append(agg_group(g, row))
-        cols = group_vars + out_aliases
-        out = pd.DataFrame(
-            [{c: r.get(c) for c in cols} for r in rows], columns=cols)
-        for a in int_aliases:
-            out[a] = out[a].astype("int64")
-        for a in float_aliases:
-            out[a] = out[a].astype("float64")
-        for c in out.columns:
-            if c not in int_aliases and c not in float_aliases:
-                out[c] = out[c].astype(object).where(
-                    out[c].notna(), None)
-        _ = np  # (numpy imported for pandas' benefit on older stacks)
-        return out
+            rows.append(_agg_row(g, row, agg_items))
+        return _agg_frame(rows, group_vars, agg_items)
 
     return coarse_group_reduce(acc, keys, combine)
 
 
-def sparql_select(triples, query: str, num_partitions: int | None = None,
-                  _base_prefixes: dict | None = None):
+def sparql_select(triples, query: str, num_partitions: int | None = None):
     """Compile a SPARQL SELECT string onto the distributed BGP engine.
 
-    Returns a Dataset: one string column per projected variable
-    (aggregate columns are float64 except COUNT's int64).
-    ``_base_prefixes``: inherited outer-scope prefixes (subqueries)."""
+    Returns a materialized Dataset: one string column per projected
+    variable (aggregate columns are float64 except COUNT's int64)."""
+    return _select_solutions(triples, query, num_partitions, {}).ds
+
+
+def _select_solutions(triples, query, num_partitions, base_prefixes):
+    """:func:`sparql_select` as :class:`Solutions`; ``base_prefixes``
+    are the outer scope's (a subquery inherits them)."""
+    import pandas as pd
+    import ray.data
+
     from cmc_knowledge_graph_text2ttl_ray.functions.cluster import (
         coarse_group_reduce,
     )
     from cmc_knowledge_graph_text2ttl_ray.state.graph_index import GraphIndex
 
     gi = GraphIndex()
-    prefixes = dict(_base_prefixes or {})
+    prefixes = dict(base_prefixes)
     prefixes.update({m.group(1): m.group(2)
                      for m in _RE_PREFIX_DECL.finditer(query)})
     start = query.find("{")
@@ -1474,7 +1380,7 @@ def sparql_select(triples, query: str, num_partitions: int | None = None,
         elif it.startswith("?"):
             plain_vars.append(it[1:])
         elif it == "*":
-            plain_vars = [c for c in acc.schema().names]
+            plain_vars = list(acc.cols)
         else:
             raise NotImplementedError(
                 f"distributed SPARQL: select item {it!r}")
@@ -1487,13 +1393,8 @@ def sparql_select(triples, query: str, num_partitions: int | None = None,
     if m_grp_plain and not agg_items:
         # GROUP BY without aggregates: one row per group (the group
         # keys), i.e. a distinct projection of the grouping variables
-        group_vars = re.findall(r"\?(\w+)", m_grp_plain.group(1))
-        acc = acc.select_columns(group_vars)
-        acc = coarse_group_reduce(
-            acc, group_vars,
-            lambda g, _c=tuple(group_vars):
-                g.drop_duplicates(subset=list(_c)))
-        plain_vars, distinct = group_vars, False
+        plain_vars = re.findall(r"\?(\w+)", m_grp_plain.group(1))
+        distinct = True
 
     if agg_items:
         from ray.data.aggregate import Count, Max, Mean, Min, Sum
@@ -1510,8 +1411,14 @@ def sparql_select(triples, query: str, num_partitions: int | None = None,
         # SAMPLE / GROUP_CONCAT / MIN/MAX's per-group lexical fallback
         fast = all(not dist and fname in ("COUNT", "SUM", "AVG")
                    for fname, dist, _v, _s, _a in agg_items)
-        if not fast:
-            acc = _general_aggregate(acc, group_vars, agg_items)
+        if not group_vars and acc.n == 0:
+            # §18.5.1: without GROUP BY the solutions form ONE group,
+            # even when there are none
+            ds = ray.data.from_pandas(_agg_frame(
+                [_agg_row(pd.DataFrame(columns=list(acc.cols)), {},
+                          agg_items)], [], agg_items))
+        elif not fast:
+            ds = _general_aggregate(acc.ds, group_vars, agg_items)
         else:
             num_needed = sorted({v for fn, _d, v, _s, _a in agg_items
                                  if v is not None and fn in ("SUM",
@@ -1546,14 +1453,14 @@ def sparql_select(triples, query: str, num_partitions: int | None = None,
                     aggs.append(Sum("__num_" + v, alias_name=alias))
                 elif fn == "AVG":
                     aggs.append(Mean("__num_" + v, alias_name=alias))
-            acc = acc.map_batches(prep, batch_format="pyarrow")
+            ds = acc.ds.map_batches(prep, batch_format="pyarrow")
             if group_vars:
-                acc = acc.groupby(group_vars).aggregate(*aggs)
+                ds = ds.groupby(group_vars).aggregate(*aggs)
             else:
-                acc = acc.groupby("__one").aggregate(*aggs) \
-                         .drop_columns(["__one"])
+                ds = ds.groupby("__one").aggregate(*aggs) \
+                       .drop_columns(["__one"])
         out_cols = group_vars + [a for *_x, a in agg_items]
-        acc = acc.select_columns(out_cols)
+        ds = ds.select_columns(out_cols)
         # HAVING: the parser's compiled filter over group keys +
         # aggregate aliases, applied per (already tiny) group row
         m_hav = re.search(r"\bHAVING\s*\(", tail, re.IGNORECASE)
@@ -1563,15 +1470,13 @@ def sparql_select(triples, query: str, num_partitions: int | None = None,
             )
 
             expr, _end = GraphIndex._read_parens(tail, m_hav.end() - 1)
-            acc = _row_filters(
-                acc, [_compile_filter(expr, prefixes)])
+            ds = _row_filters(ds, [_compile_filter(expr, prefixes)])
     else:
-        if plain_vars:
-            acc = acc.select_columns(plain_vars)
+        out_cols = plain_vars or list(acc.cols)
+        ds = acc.ds.select_columns(out_cols)
         if distinct:
-            cols = plain_vars or list(acc.schema().names)
-            acc = coarse_group_reduce(
-                acc, cols, lambda g: g.drop_duplicates(subset=cols))
+            ds = coarse_group_reduce(
+                ds, out_cols, lambda g: g.drop_duplicates(subset=out_cols))
 
     # ---- ORDER BY / OFFSET / LIMIT ----
     m_ord = re.search(
@@ -1608,9 +1513,9 @@ def sparql_select(triples, query: str, num_partitions: int | None = None,
         sort_cols = [f"__ord{i}{p}" for i in range(len(cols))
                      for p in "kns"]
         sort_desc = [d for d in desc for _ in range(3)]
-        acc = acc.map_batches(add_sort_keys, batch_format="pandas") \
-                 .sort(sort_cols, descending=sort_desc)
-        acc = acc.drop_columns(sort_cols)
+        ds = ds.map_batches(add_sort_keys, batch_format="pandas") \
+               .sort(sort_cols, descending=sort_desc) \
+               .drop_columns(sort_cols)
     m_off = re.search(r"\bOFFSET\s+(\d+)", tail, re.IGNORECASE)
     m_lim = re.search(r"\bLIMIT\s+(\d+)", tail, re.IGNORECASE)
     if m_off and int(m_off.group(1)) > 0:
@@ -1621,8 +1526,8 @@ def sparql_select(triples, query: str, num_partitions: int | None = None,
         # any distributed store); sort first for deterministic paging.
         off = int(m_off.group(1))
         if m_lim:
-            acc = acc.limit(off + int(m_lim.group(1)))
-        acc = acc.split_at_indices([off])[1]
+            ds = ds.limit(off + int(m_lim.group(1)))
+        ds = ds.split_at_indices([off])[1]
     if m_lim:
-        acc = acc.limit(int(m_lim.group(1)))
-    return acc
+        ds = ds.limit(int(m_lim.group(1)))
+    return _compact(ds, out_cols)

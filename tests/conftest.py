@@ -16,3 +16,24 @@ def ray_session():
         )
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def executed_ops(monkeypatch):
+    """Names of the physical operators of every dataset execution."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    names, orig = [], StreamingExecutor.execute
+
+    def execute(self, dag, *args, **kwargs):
+        stack = [dag]
+        while stack:
+            op = stack.pop()
+            names.append(op.name)
+            stack.extend(op.input_dependencies)
+        return orig(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", execute)
+    return names

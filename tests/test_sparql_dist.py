@@ -795,3 +795,35 @@ def test_graph_var_bound_inside_group_must_agree(ray_session):
     local = [tuple(sorted(r.items())) for r in gi.query(query)]
     assert Counter(rows) == Counter(local)
     assert len(rows) == 1
+
+
+@pytest.mark.parametrize("select, where", [
+    ("(COUNT(?o) AS ?n)", "?s ex:nope ?o"),
+    ("(COUNT(*) AS ?n)", "?s ex:nope ?o"),
+    ("(COUNT(DISTINCT ?o) AS ?n)", "?s ex:nope ?o"),
+    ("(COUNT(?n) AS ?c)", "?e ex:employees ?n FILTER(?n > 100000)"),
+    ("(GROUP_CONCAT(?o) AS ?n)", "?s ex:nope ?o"),
+    ("(SUM(?o) AS ?n)", "?s ex:nope ?o"),
+    ("(AVG(?o) AS ?n)", "?s ex:nope ?o"),
+    ("(MIN(?o) AS ?n)", "?s ex:nope ?o"),
+])
+def test_aggregate_without_group_by_over_no_solutions(ray_session, select,
+                                                      where):
+    # §18.5.1: with no GROUP BY the solutions form one group even when
+    # there are none — COUNT 0, GROUP_CONCAT "", the rest unbound
+    _assert_same(PFX + f"SELECT {select} WHERE {{ {where} }}")
+
+
+@pytest.mark.parametrize("query, cols", [
+    ("SELECT ?s ?z WHERE { ?s ex:nope ?o . BIND(?o AS ?z) "
+     "FILTER EXISTS { ?z ex:hq_in ?c } }", ["s", "z"]),
+    ("SELECT ?s ?z WHERE { ?s ex:nope ?o . BIND(?o AS ?z) }", ["s", "z"]),
+    ("SELECT ?s ?v WHERE { ?s ex:nope ?o . VALUES ?v { ex:a ex:b } }",
+     ["s", "v"]),
+    ("SELECT ?s ?o WHERE { ?s ex:nope ?o } ORDER BY ?o", ["s", "o"]),
+    ("SELECT DISTINCT ?s WHERE { ?s ex:nope ?o }", ["s"]),
+])
+def test_empty_result_keeps_projected_columns(ray_session, query, cols):
+    _assert_same(PFX + query)
+    out = sparql_select(_ds(), PFX + query).materialize()
+    assert out.schema().names == cols
