@@ -76,6 +76,40 @@ def _filter_rec(kind: str):
     return f
 
 
+_IMPORT_CHECKED_JOBS: set = set()
+
+
+def _check_workers_import() -> None:
+    """Fail by name, once per Ray job, when Ray workers cannot import
+    this package.  Otherwise the extractor pool retries its actor
+    constructor forever and the build hangs with no error (seen with a
+    script that put the checkout on ``sys.path`` but not on
+    ``PYTHONPATH``)."""
+    import ray
+
+    job = ray.get_runtime_context().get_job_id()
+    if job in _IMPORT_CHECKED_JOBS:
+        return
+    package = __name__.split(".")[0]
+
+    def probe():  # defined here, so it is pickled by value
+        import importlib
+
+        importlib.import_module(package)
+
+    try:
+        # zero CPUs: a busy cluster must not delay the probe
+        ray.get(ray.remote(probe).options(num_cpus=0, max_retries=0)
+                .remote(), timeout=45)
+    except Exception as exc:
+        root = os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))))
+        raise RuntimeError(
+            f"Ray workers cannot import {package!r}; put its parent "
+            f"directory {root!r} on PYTHONPATH before ray.init") from exc
+    _IMPORT_CHECKED_JOBS.add(job)
+
+
 def extraction_records(
     pages_ds,
     plans=None,
@@ -86,12 +120,13 @@ def extraction_records(
     source: str = "auto",
 ):
     """pages → extraction-record dataset (triple/stats/error/entity rows)."""
+    import ray
+
     plans = plans or default_plans()
     graphs_ttl = graphs_ttl if graphs_ttl is not None else default_graphs()
+    cpus = ray.cluster_resources().get("CPU", 8)
     if concurrency is None:
-        import ray
-
-        concurrency = max(2, int(ray.cluster_resources().get("CPU", 8)))
+        concurrency = max(2, int(cpus))
     if isinstance(concurrency, int):
         # Near-fixed pool: Ray's autoscaling pool ramps up too slowly (2.3×
         # slower end-to-end measured at (1,32) vs (30,32)), while a fully
@@ -99,6 +134,13 @@ def extraction_records(
         # (observed deadlock on small clusters). min = max-2 keeps the pool
         # hot and leaves headroom for the read/write tasks.
         concurrency = (max(1, concurrency - 2), concurrency)
+    # The hot pool leaves one whole CPU to the other operators, whose
+    # tasks (a read task by default) each ask for one: at 1 CPU a 1-CPU
+    # actor, and a 0.5-CPU one too, holds the read task back forever
+    # (a 60-page build stalled at both; 7.5 s at 0).  From 2 CPUs on
+    # every actor takes 1 CPU.
+    num_cpus = max(0.0, min(1.0, (cpus - 1) / concurrency[0]))
+    _check_workers_import()
     ds = add_extracted_text(pages_ds, source=source)
     return ds.map_batches(
         TripleExtractor,
@@ -107,7 +149,7 @@ def extraction_records(
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,
-        num_cpus=1,
+        num_cpus=num_cpus,
     )
 
 

@@ -250,7 +250,7 @@ def merge_equivalent_entities(triples, sameas_pred: str,
                          "ha": h64(a), "hb": h64(b)})
 
     pairs, n_pairs = _reblock(
-        _pattern_scan(pair_src, ("?a", sameas_pred, "?b"))
+        _pattern_scan(pair_src, ("?a", sameas_pred, "?b")).ds
         .map_batches(hash_ids, batch_format="pyarrow"))
     if pairs is None:
         import ray.data

@@ -21,17 +21,20 @@ solution mapping, one column per projected variable.
 Scale shape
 -----------
 - Each pattern becomes ONE filtered projection of the triple table:
-  constants are pushed into a vectorized ``pyarrow.compute`` mask inside
-  ``map_batches`` and only the variable columns survive, so what enters
-  the joins is the few-column binding table, never full triple rows.
+  constants are pushed into a vectorized ``pyarrow.compute`` mask and
+  only the variable columns survive, so what enters the joins is the
+  few-column binding table, never full triple rows.  Over a
+  materialized source (``materialize()``, ``from_arrow``) the scan is
+  one remote task per source block; over a lazy source it fuses into
+  the one execution that runs the source's lineage.
 - Patterns are joined on ALL shared variables through ONE solution
   join (:func:`_solution_join`, also used by every SPARQL join in
-  ``sparql_dist.py``), in two tiers chosen by the row counts the
-  compaction step already has.  When the side that may be broadcast
-  (the smaller one for an inner join, the right one for OPTIONAL,
-  MINUS and EXISTS) has at most ``functions.cluster.BROADCAST_JOIN_ROWS``
-  rows, it is built once in the object store and every block of the
-  other side joins it with ``pa.Table.join`` — no shuffle, no
+  ``sparql_dist.py``), in two tiers chosen by the exact row counts the
+  solution sets carry.  When the side that may be broadcast (the
+  smaller one for an inner join, the right one for OPTIONAL, MINUS
+  and EXISTS) has at most ``functions.cluster.BROADCAST_JOIN_ROWS``
+  rows, one task concatenates it and every block of the other side
+  joins it with ``pa.Table.join`` in its own task — no shuffle, no
   aggregator actors.  Above the gate both sides go through Ray's
   distributed hash join (``Dataset.join``), partition count derived
   from the smaller side and the cluster (``default_join_partitions``).
@@ -45,20 +48,26 @@ Scale shape
 - ``distinct`` dedups via ``coarse_group_reduce`` (in-block combiner +
   one hash exchange), never a driver-side collect.
 
-Solution sets: joins and compaction pass :class:`Solutions` — the
-materialized blocks, the variables and the row count.  Columns are
-static (SPARQL 1.1 §18.2.1: a group's in-scope variables follow from
-its syntax), so no operator asks a Dataset for its schema — on a lazy
-Dataset that is a ``limit=1`` execution of the whole upstream plan,
-and a Dataset whose blocks all emptied has none.  Counts come from
-compaction; an empty set holds a typed empty table.
+Solution sets: every operator passes :class:`Solutions` — the object
+refs of the set's non-empty Arrow blocks, its variables and its exact
+row count.  Narrow operators (scans of materialized sources, broadcast
+probes, projections, padding, BIND / VALUES / FILTER) run as remote
+tasks on the block refs (:meth:`Solutions.map`), each a few
+milliseconds, where a Ray Data execution costs ~75 ms of fixed set-up.
+Ray Data runs only the wide operators (hash-tier join, aggregates,
+``coarse_group_reduce``, sort, limit / offset) and the lineage of lazy
+sources; :func:`_compact` turns their output back into block refs.
+Columns are static (SPARQL 1.1 §18.2.1: a group's in-scope variables
+follow from its syntax), so no operator asks a Dataset for its schema.
+An empty set holds no blocks; its :attr:`Solutions.ds` is a typed empty
+table.
 """
 
 from __future__ import annotations
 
 import functools
 from collections.abc import Sequence
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -115,21 +124,19 @@ def _selectivity_key(pattern: Sequence[str]) -> tuple:
 
 
 def _pattern_scan(triples, pattern: Sequence[str],
-                  rename: dict[str, str] | None = None):
+                  rename: dict[str, str] | None = None) -> "Solutions":
     """ONE filtered projection: constants → pyarrow mask, variables →
     renamed binding columns.  Repeated variables inside the pattern
     (e.g. ``(?x, p, ?x)``) become in-scan column-equality filters.
 
     ``rename`` maps output column names (var without ``?``) to final
-    names — applied INSIDE the scan so every block, including empty
-    ones, carries the full typed schema (a separate ``rename_columns``
-    Project leaves post-filter empty blocks schema-inconsistent, which
-    Ray's hash join rejects with "No match ... for key field")."""
+    names.  Over a materialized source the scan is one task per source
+    block; over a lazy one it runs inside the source's execution."""
     cols = _POS_COLS if len(pattern) == 3 else _QUAD_COLS
     rename = rename or {}
     var_cols = _pattern_vars(pattern)
     out_names = [rename.get(v[1:], v[1:]) for v in var_cols]
-    out_schema = pa.schema([(n, pa.string()) for n in out_names])
+    out_schema = _str_schema(out_names)
 
     if hasattr(triples, "scan_for_predicate"):
         # predicate-bucketed TripleStore: a constant predicate prunes
@@ -158,7 +165,16 @@ def _pattern_scan(triples, pattern: Sequence[str],
             schema=out_schema,
         )
 
-    return triples.map_batches(scan, batch_format="pyarrow")
+    if _is_materialized(triples):
+        return _source_blocks(triples).map(scan, out_names)
+    return _compact(triples.map_batches(scan, batch_format="pyarrow"),
+                    out_names)
+
+
+def _is_materialized(ds) -> bool:
+    from ray.data.dataset import MaterializedDataset
+
+    return isinstance(ds, MaterializedDataset)
 
 
 def _plan_order_indices(patterns: list[Sequence[str]]) -> list[int]:
@@ -186,32 +202,116 @@ def _plan_order_indices(patterns: list[Sequence[str]]) -> list[int]:
     return order
 
 
-class Solutions(NamedTuple):
-    """A solution set: ``ds`` holds its materialized blocks, ``cols``
-    its variables (names without ``?``, known from the query — never
-    read back from ``ds``) and ``n`` its row count."""
+def _run_block(fn, block, *args):
+    out = fn(_arrow_block(block), *args)
+    return out, out.num_rows
 
-    ds: Any
+
+@functools.cache
+def _block_task():
+    import ray
+
+    return ray.remote(num_returns=2)(_run_block)
+
+
+class Solutions(NamedTuple):
+    """A solution set: ``blocks`` are the object refs of its non-empty
+    Arrow tables, ``cols`` its variables (names without ``?``, known
+    from the query — never read back from the blocks, whose columns are
+    ``cols`` in this order) and ``n`` its exact row count."""
+
+    blocks: tuple
     cols: tuple
     n: int
 
     @classmethod
     def empty(cls, cols):
+        return cls((), tuple(cols), 0)
+
+    @property
+    def ds(self):
+        """The set as a Dataset, for a wide operator or a caller outside
+        the solution operators; an empty set is a typed empty table."""
         import ray.data
 
-        return cls(ray.data.from_arrow(pa.schema(
-            [(c, pa.string()) for c in cols]).empty_table()), tuple(cols), 0)
+        if not self.blocks:
+            return ray.data.from_arrow(_str_schema(self.cols).empty_table())
+        return ray.data.from_arrow_refs(list(self.blocks))
+
+    def map(self, fn, cols, *args) -> "Solutions":
+        """``fn(block, *args) -> pa.Table`` as one remote task per block,
+        giving the set over ``cols``.  Each task also returns its row
+        count, so the result's ``n`` is exact; empty outputs are
+        dropped.  Object refs in ``args`` reach ``fn`` as their values
+        (Ray resolves top-level task arguments)."""
+        if not self.blocks:
+            return Solutions.empty(cols)
+        import ray
+
+        fn_ref = ray.put(fn)
+        outs = [_block_task().remote(fn_ref, b, *args) for b in self.blocks]
+        counts = ray.get([c for _, c in outs])
+        return Solutions(tuple(t for (t, _), k in zip(outs, counts) if k),
+                         tuple(cols), sum(counts))
+
+    def select(self, cols) -> "Solutions":
+        cols = tuple(cols)
+        return self if cols == self.cols else self.map(_select, cols,
+                                                       list(cols))
+
+
+def _select(t: pa.Table, cols) -> pa.Table:
+    return t.select(cols)
+
+
+def _union(parts, cols) -> Solutions:
+    """Bag union of solution sets whose blocks all have columns
+    ``cols``: their block lists, concatenated."""
+    return Solutions(tuple(b for p in parts for b in p.blocks), tuple(cols),
+                     sum(p.n for p in parts))
+
+
+def _arrow_block(block) -> pa.Table:
+    """``block`` (Arrow or pandas) as an Arrow table; a column that a
+    pandas hop typed ``null`` (all None) becomes a string column."""
+    t = block if isinstance(block, pa.Table) else pa.Table.from_pandas(
+        block, preserve_index=False).replace_schema_metadata(None)
+    if not any(pa.types.is_null(f.type) for f in t.schema):
+        return t
+    return pa.table({c: (t[c].cast(pa.string())
+                         if pa.types.is_null(t[c].type) else t[c])
+                     for c in t.column_names})
+
+
+def _blocks(ds):
+    """Refs and total rows of a Dataset's non-empty blocks, from the
+    bundles of ``materialize()`` (which runs nothing for an already
+    materialized Dataset)."""
+    refs, n = [], 0
+    for bundle in ds.materialize().iter_internal_ref_bundles():
+        for ref, meta in bundle.blocks:
+            if meta.num_rows:
+                refs.append(ref)
+                n += meta.num_rows
+    return tuple(refs), n
+
+
+def _source_blocks(ds) -> Solutions:
+    """A materialized triples source's blocks, taken as they are, for
+    a :meth:`Solutions.map` to read (its ``cols`` stay empty; the task
+    converts a pandas block)."""
+    refs, n = _blocks(ds)
+    return Solutions(refs, (), n)
 
 
 def _compact(ds, cols) -> Solutions:
-    """Materialize a solution Dataset with variables ``cols`` ONCE and
-    count it; every consumer reads the same blocks.  The count picks
-    the join tier in :func:`_solution_join`; an empty result becomes
-    :meth:`Solutions.empty` (a Dataset whose blocks all emptied keeps
-    no schema)."""
-    m = ds.materialize()
-    n = m.count()
-    return Solutions(m, tuple(cols), n) if n else Solutions.empty(cols)
+    """The output of a wide operator, or a lazy source's lineage, as
+    :class:`Solutions` over ``cols``: ONE execution, whose bundles give
+    the block refs and row counts.  A map fused into that execution
+    turns every block into Arrow; empty blocks are dropped."""
+    refs, n = _blocks(ds.map_batches(_arrow_block, batch_format="pyarrow",
+                                     batch_size=None))
+    return Solutions(refs, tuple(cols), n)
 
 
 def _reblock(ds):
@@ -230,10 +330,7 @@ def _reblock(ds):
 
 
 def _concat_tables(*tables: pa.Table) -> pa.Table:
-    # a map skips empty blocks, so they reach here as they entered it —
-    # possibly as column-less pandas blocks
-    return pa.concat_tables([t for t in tables if len(t)],
-                            promote_options="default")
+    return pa.concat_tables(tables, promote_options="default")
 
 
 @functools.cache
@@ -243,59 +340,58 @@ def _concat_task():
     return ray.remote(_concat_tables)
 
 
-def _solution_join(left, n_l, right, n_r, join_type, on,
-                   num_partitions=None):
-    """Join two non-empty solution Datasets of known row counts
-    (:class:`Solutions`' ``n``) on the same-named key columns ``on``:
-    ``join_type`` is
-    ``inner``, ``left_outer``, ``left_anti`` or ``left_semi``.  Callers
-    select output columns by name; their order is not fixed.
+def _solution_join(left, right, join_type, on, cols,
+                   num_partitions=None) -> Solutions:
+    """Join two non-empty :class:`Solutions` on the same-named key
+    columns ``on`` into the set over ``cols`` (a subset of the joined
+    columns): ``join_type`` is ``inner``, ``left_outer``, ``left_anti``
+    or ``left_semi``.
 
     Two tiers, same rows.  When the side that may be broadcast — the
     smaller one for ``inner``, only the right one otherwise — has at
-    most ``functions.cluster.BROADCAST_JOIN_ROWS`` rows, ONE remote
-    task concatenates its blocks into an object-store table (they are
-    never fetched into the calling process) and every block of the
-    other side joins it inside ``map_batches`` with ``pa.Table.join`` —
-    the call Ray's hash join makes per partition, so null keys never
-    match and keys coalesce alike.  Otherwise it is a ``Dataset.join``
-    hash shuffle of the :func:`_reblock`-ed sides over
-    ``num_partitions`` partitions (default: one per 50k rows of the
-    smaller side, capped by ``default_join_partitions``)."""
+    most ``functions.cluster.BROADCAST_JOIN_ROWS`` rows, it takes
+    :func:`_broadcast_join`: no Ray Data execution at all.  Otherwise
+    it is a ``Dataset.join`` hash shuffle of the :func:`_reblock`-ed
+    sides over ``num_partitions`` partitions (default: one per 50k rows
+    of the smaller side, capped by ``default_join_partitions``),
+    compacted back into block refs."""
     from cmc_knowledge_graph_text2ttl_ray.functions import cluster
 
-    on = tuple(on)
+    on = list(on)
     gate = cluster.BROADCAST_JOIN_ROWS
-    if join_type == "inner" and n_l < n_r and n_l <= gate:
-        return _broadcast_join(right, left, join_type, on)
-    if n_r <= gate:
-        return _broadcast_join(left, right, join_type, on)
+    if join_type == "inner" and left.n < right.n and left.n <= gate:
+        return _broadcast_join(right, left, join_type, on, cols)
+    if right.n <= gate:
+        return _broadcast_join(left, right, join_type, on, cols)
     np_join = num_partitions or max(1, min(
-        cluster.default_join_partitions(), -(-min(n_l, n_r) // 50_000)))
-    return _reblock(left)[0].join(_reblock(right)[0], join_type=join_type,
-                                  num_partitions=np_join, on=on)
+        cluster.default_join_partitions(), -(-min(left.n, right.n) // 50_000)))
+    joined = _reblock(left.ds)[0].join(
+        _reblock(right.ds)[0], join_type=join_type,
+        num_partitions=np_join, on=tuple(on))
+    return _compact(joined.select_columns(list(cols)), cols)
 
 
-def _broadcast_join(stream, small, join_type, on):
-    """Broadcast tier of :func:`_solution_join`: ``small`` is built
-    once in the object store and probed by every ``stream`` block."""
-    import ray
+def _broadcast_join(stream, small, join_type, on, cols) -> Solutions:
+    """Broadcast tier of :func:`_solution_join`: ONE task concatenates
+    ``small``'s blocks into an object-store table (never fetched into
+    the calling process), then one task per ``stream`` block joins it
+    with ``pa.Table.join`` — the call Ray's hash join makes per
+    partition, so null keys never match and keys coalesce alike.  The
+    table reaches each probe as a top-level task argument, so Ray hands
+    it over before the task starts instead of the task blocking on
+    ``ray.get``."""
+    table = _concat_task().remote(*small.blocks)
+    return stream.map(_probe, cols, table, on,
+                      join_type.replace("_", " "), list(cols))
 
-    # a lazy side would run once for its blocks and once more for its
-    # schema
-    ref = _concat_task().remote(*small.materialize().to_arrow_refs())
-    verb = join_type.replace("_", " ")
 
-    def probe(t: pa.Table) -> pa.Table:
-        return t.join(ray.get(ref), keys=list(on), join_type=verb)
-
-    return stream.map_batches(probe, batch_format="pyarrow",
-                              batch_size=None)
+def _probe(t: pa.Table, small: pa.Table, on, verb, cols) -> pa.Table:
+    return t.join(small, keys=on, join_type=verb).select(cols)
 
 
 def _distinct_keys(keys):
-    """``map_batches`` fn: a block's distinct ``keys`` tuples as strings
-    — all a semi / anti join needs of its right side."""
+    """Block fn: a block's distinct ``keys`` tuples as strings — all a
+    semi / anti join needs of its right side."""
     keys = list(keys)
 
     def fn(t: pa.Table) -> pa.Table:
@@ -323,11 +419,10 @@ def _join_group(triples, patterns, num_partitions, pattern_sources=None):
     """Inner-join one connected pattern group into :class:`Solutions`
     over the group's variables.
 
-    Join order is TRUE-cardinality greedy: every pattern is scanned +
-    compacted first (each is scanned exactly once either way — the
-    compaction already materializes and counts it), then joins start
-    from the smallest binding table and always attach the smallest
-    connected remainder.  The static selectivity heuristic
+    Join order is TRUE-cardinality greedy: every pattern is scanned
+    first (each scan knows its row count), then joins start from the
+    smallest binding table and always attach the smallest connected
+    remainder.  The static selectivity heuristic
     (:func:`_plan_order_indices`) is kept only for the upfront
     connectivity check, where it raises on cross products.
 
@@ -346,8 +441,7 @@ def _join_group(triples, patterns, num_partitions, pattern_sources=None):
 
     scans = []
     for i, pat in enumerate(patterns):
-        scan = _compact(_pattern_scan(_src(i), pat),
-                        [v[1:] for v in _pattern_vars(pat)])
+        scan = _pattern_scan(_src(i), pat)
         if scan.n == 0:
             return Solutions.empty(all_vars)
         scans.append(scan)
@@ -358,25 +452,29 @@ def _join_group(triples, patterns, num_partitions, pattern_sources=None):
                    if set(acc.cols) & set(s.cols)),
                   key=lambda i: scans[i].n)
         rhs = scans.pop(nxt)
-        keep = sorted(set(acc.cols) | set(rhs.cols))
-        acc = _compact(_solution_join(
-            acc.ds, acc.n, rhs.ds, rhs.n, "inner",
-            sorted(set(acc.cols) & set(rhs.cols)),
-            num_partitions=num_partitions).select_columns(keep), keep)
+        acc = _solution_join(
+            acc, rhs, "inner", sorted(set(acc.cols) & set(rhs.cols)),
+            sorted(set(acc.cols) | set(rhs.cols)),
+            num_partitions=num_partitions)
         if acc.n == 0:
             return Solutions.empty(all_vars)
     return acc
 
 
-def _add_null_cols(cols):
-    """``map_batches`` fn: append all-null string columns ``cols`` —
-    an OPTIONAL side with no solutions extends every row unbound."""
-    cols = tuple(cols)
+def _str_schema(cols) -> pa.Schema:
+    return pa.schema([(c, pa.string()) for c in cols])
 
+
+def _pad(schema: pa.Schema):
+    """Block fn: the block over ``schema``'s columns, in its order and
+    types; a column the block lacks is all-null — an OPTIONAL side with
+    no solutions extends every row unbound, a UNION arm leaves the
+    other arms' variables unbound."""
     def fn(t: pa.Table) -> pa.Table:
-        for name in cols:
-            t = t.append_column(name, pa.nulls(len(t), pa.string()))
-        return t
+        return pa.table(
+            {f.name: (t[f.name].cast(f.type) if f.name in t.column_names
+                      else pa.nulls(len(t), f.type)) for f in schema},
+            schema=schema)
 
     return fn
 
@@ -387,10 +485,10 @@ _FILTER_OPS = {
 }
 
 
-def _apply_filters(ds, filters):
-    """Vectorized solution filters.  Each filter is ``(?var, op, value)``
-    with op in ``= != < <= > >= is_null not_null`` (string comparison —
-    bindings are lexical values), or a callable
+def _solution_filter(filters):
+    """Block fn of vectorized solution filters.  Each filter is
+    ``(?var, op, value)`` with op in ``= != < <= > >= is_null not_null``
+    (string comparison — bindings are lexical values), or a callable
     ``fn(pa.Table) -> BooleanArray``.  SPARQL semantics: a comparison on
     an unbound (null) variable does not match; ``is_null`` selects the
     unbound rows an OPTIONAL group left behind."""
@@ -413,7 +511,7 @@ def _apply_filters(ds, filters):
             mask = m if mask is None else pc.and_(mask, m)
         return t.filter(mask) if mask is not None else t
 
-    return ds.map_batches(mask_batch, batch_format="pyarrow")
+    return mask_batch
 
 
 def bgp_query(
@@ -432,10 +530,12 @@ def bgp_query(
 
     ``triples`` needs ``subject`` / ``predicate`` / ``object`` columns
     (the pipeline's triple schema; extra columns are ignored).  Returns a
-    Dataset with one ``string`` column per variable (names without the
-    ``?``), restricted to ``project`` if given.
+    materialized Dataset with one ``string`` column per variable (names
+    without the ``?``), restricted to ``project`` if given.
 
-    Each pattern scan re-executes the input's lineage (Ray datasets are
+    A materialized input (``materialize()``, ``from_arrow``) is scanned
+    block by block in remote tasks, with no Ray Data execution.  A lazy
+    input runs its lineage once per pattern scan (Ray datasets are
     lazy): parquet-backed inputs re-read pruned (cheap); COMPUTED triple
     encodings should be ``materialize()``d by the caller before a
     multi-pattern query, or every pattern re-runs the encoding.
@@ -453,7 +553,7 @@ def bgp_query(
     EXISTS`` over shared vars) — a ``left_anti`` :func:`_solution_join`.
     ``num_partitions`` applies to joins that take the hash-shuffle tier.
     ``filters``: solution filters applied after all joins (see
-    :func:`_apply_filters`); combine with ``("?v", "is_null", None)``
+    :func:`_solution_filter`); combine with ``("?v", "is_null", None)``
     for the classic OPTIONAL-based negation.
     """
     from cmc_knowledge_graph_text2ttl_ray.functions.cluster import (
@@ -467,16 +567,13 @@ def bgp_query(
                           minus_patterns, pattern_sources)
     cols = [v.lstrip("?") for v in project] if project else sorted(
         sols.cols)
-    if sols.n == 0:
-        return Solutions.empty(cols).ds
-    acc = sols.ds
     if filters:
-        acc = _apply_filters(acc, filters)
-    acc = acc.select_columns(cols)
-    if distinct:
-        acc = coarse_group_reduce(
-            acc, cols, lambda g: g.drop_duplicates(subset=cols))
-    return acc
+        sols = sols.map(_solution_filter(filters), sols.cols)
+    sols = sols.select(cols)
+    if distinct and sols.n:
+        return coarse_group_reduce(
+            sols.ds, cols, lambda g: g.drop_duplicates(subset=cols))
+    return sols.ds
 
 
 def _bgp_solutions(triples, patterns, num_partitions=None, opt_groups=(),
@@ -494,7 +591,6 @@ def _bgp_solutions(triples, patterns, num_partitions=None, opt_groups=(),
             bound | {v[1:] for grp in opt_groups for pat in grp
                      for v in _pattern_vars(pat)}))
 
-    ds = acc.ds
     for grp in opt_groups:
         opt_vars = {v[1:] for pat in grp for v in _pattern_vars(pat)}
         shared = sorted(set(acc.cols) & opt_vars)
@@ -510,12 +606,12 @@ def _bgp_solutions(triples, patterns, num_partitions=None, opt_groups=(),
         opt = _join_group(triples, grp, num_partitions)
         extra = sorted(opt_vars - bound)
         if opt.n == 0:
-            ds = ds.map_batches(_add_null_cols(extra),
-                                batch_format="pyarrow")
+            cols = sorted(bound) + extra
+            acc = acc.map(_pad(_str_schema(cols)), cols)
         else:
-            ds = _solution_join(ds, acc.n, opt.ds, opt.n, "left_outer",
-                                shared, num_partitions=num_partitions)
-            ds = ds.select_columns(sorted(bound) + extra)
+            acc = _solution_join(acc, opt, "left_outer", shared,
+                                 sorted(bound) + extra,
+                                 num_partitions=num_partitions)
         bound |= opt_vars
 
     if minus_patterns:
@@ -530,11 +626,10 @@ def _bgp_solutions(triples, patterns, num_partitions=None, opt_groups=(),
         if mins.n:
             # the subtrahend's distinct join keys (anti join needs key
             # presence only)
-            ds = _solution_join(
-                ds, acc.n, mins.ds.map_batches(_distinct_keys(shared),
-                                               batch_format="pyarrow"),
-                mins.n, "left_anti", shared, num_partitions=num_partitions)
-    return acc if ds is acc.ds else _compact(ds, sorted(bound))
+            acc = _solution_join(
+                acc, mins.map(_distinct_keys(shared), shared), "left_anti",
+                shared, acc.cols, num_partitions=num_partitions)
+    return acc
 
 
 def khop_subgraph(triples, seeds, k: int = 2, direction: str = "both",

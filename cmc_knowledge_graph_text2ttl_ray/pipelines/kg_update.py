@@ -414,8 +414,8 @@ def _match_stored(kg_ds, spo_ds, num_partitions=None):
                                         batch_format="pyarrow"), keys)
     if left.n == 0 or right.n == 0:
         return Solutions.empty(IDENTITY_COLS).ds
-    return _solution_join(left.ds, left.n, right.ds, right.n, "left_semi",
-                          keys, num_partitions=num_partitions)
+    return _solution_join(left, right, "left_semi", keys, IDENTITY_COLS,
+                          num_partitions=num_partitions).ds
 
 
 def _collect_bgp_patterns(elements):
@@ -584,9 +584,9 @@ def _typed_inserts(kg_ds, sols, ins_tmpls, elements, num_partitions):
                                pa.nulls(len(t), pa.string())),
                 batch_format="pyarrow")
         else:
-            joined = _solution_join(left.ds, left.n, right.ds, right.n,
-                                    "left_outer", ["object"],
-                                    num_partitions=num_partitions)
+            joined = _solution_join(left, right, "left_outer", ["object"],
+                                    left.cols + tuple(t_cols),
+                                    num_partitions=num_partitions).ds
 
             def fill(t: pa.Table) -> pa.Table:
                 import pyarrow.compute as pc

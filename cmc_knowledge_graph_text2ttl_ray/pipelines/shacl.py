@@ -72,7 +72,7 @@ def _scan(triples, s, p, o, rename=None):
         _pattern_scan,
     )
 
-    return _pattern_scan(triples, (s, p, o), rename=rename)
+    return _pattern_scan(triples, (s, p, o), rename=rename).ds
 
 
 def validate_shapes(triples, shapes: list[NodeShape],

@@ -84,17 +84,23 @@ lower to quad patterns (graph var as a join term) and carry no bound.
 
 from __future__ import annotations
 
+import functools
 import re
 
 import pyarrow as pa
 
 from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import (
     Solutions,
-    _add_null_cols,
+    _arrow_block,
     _bgp_solutions,
     _compact,
     _distinct_keys,
+    _is_materialized,
+    _pad,
     _solution_join,
+    _source_blocks,
+    _str_schema,
+    _union,
 )
 
 __all__ = ["sparql_select", "sparql_query"]
@@ -147,6 +153,13 @@ def _graph_source(graph_iri: str):
                     "this dataset is triple-only")
             return t.filter(pc.fill_null(pc.equal(t["graph"], _g), False))
 
+        if _is_materialized(base):
+            # one task per block and a materialized result, so the scans
+            # over it run no Ray Data execution; an empty result keeps
+            # the lazy map below, whose empty block has the source schema
+            out = _source_blocks(base).map(pick, ())
+            if out.n:
+                return out.ds
         return base.map_batches(pick, batch_format="pyarrow")
 
     return factory
@@ -204,26 +217,25 @@ def _path_edge_dataset(triples, ast, sent: str, num_partitions=None):
     """Evaluate a path AST over ``triples`` into an EDGE Dataset
     ``(subject, predicate=sent, object)`` — one row per (start, end)
     route (deduped: closure semantics are set-based).  Each DNF arm of
-    the inner path runs through ``bgp_query`` with fresh endpoint
+    the inner path runs through the BGP planner with fresh endpoint
     variables; arms union, pairs dedupe on coarse partitions."""
     from cmc_knowledge_graph_text2ttl_ray.functions.cluster import (
         coarse_group_reduce,
     )
-    from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import bgp_query
 
     fresh = _Fresh()
     sv, ov = ("var", "__ca"), ("var", "__cb")
     arms = _lower_path(sv, ast, ov, fresh)
+    edge_cols = ("subject", "predicate", "object")
     parts = []
     for pats, fils, srcs in arms:
         resolved = ([src(triples) if src is not None else None
                      for src in srcs]
                     if any(s is not None for s in srcs) else None)
-        ds = bgp_query(triples, _conv_patterns(pats),
-                       num_partitions=num_partitions,
-                       pattern_sources=resolved)
+        sols = _bgp_solutions(triples, _conv_patterns(pats),
+                              num_partitions, pattern_sources=resolved)
         if fils:
-            ds = _row_filters(ds, fils)
+            sols = sols.map(_row_filters(fils), sols.cols)
 
         def to_edges(t: pa.Table, _sent=sent) -> pa.Table:
             return pa.table({
@@ -232,9 +244,9 @@ def _path_edge_dataset(triples, ast, sent: str, num_partitions=None):
                 "object": t["__cb"].cast(pa.string()),
             })
 
-        parts.append(ds.map_batches(to_edges, batch_format="pyarrow"))
+        parts.append(sols.map(to_edges, edge_cols))
     return coarse_group_reduce(
-        _union_all(parts), ["subject", "object"],
+        _union(parts, edge_cols).ds, ["subject", "object"],
         lambda g: g.drop_duplicates(subset=["subject", "object"]))
 
 
@@ -389,25 +401,24 @@ def _bgp_only(elements, what):
     return pats
 
 
-def _row_filters(ds, filter_fns):
-    """Apply the parser's compiled FILTER closures per solution row.
-    Runs distributed inside map_batches; the loop is over the RESULT
-    set, not the triple table."""
+def _row_filters(filter_fns):
+    """Block fn: the parser's compiled FILTER closures per solution row
+    (the loop is over the RESULT set, not the triple table)."""
     def apply(t: pa.Table) -> pa.Table:
         rows = t.to_pylist()
         keep = [all(fn({k: v for k, v in r.items() if v is not None})
                     for fn in filter_fns) for r in rows]
         return t.filter(pa.array(keep, pa.bool_()))
 
-    return ds.map_batches(apply, batch_format="pyarrow")
+    return apply
 
 
-def _apply_binds(ds, binds):
-    """``BIND(expr AS ?var)`` after the joins (valid for the supported
-    subset: the expression references only BGP-bound variables).  Local
-    semantics mirrored exactly: an expression error leaves the variable
-    unbound; binding over an ALREADY-bound variable keeps the row only
-    when the values agree."""
+def _apply_binds(binds):
+    """Block fn: ``BIND(expr AS ?var)`` after the joins (valid for the
+    supported subset: the expression references only BGP-bound
+    variables).  Local semantics mirrored exactly: an expression error
+    leaves the variable unbound; binding over an ALREADY-bound variable
+    keeps the row only when the values agree."""
     def apply(t: pa.Table) -> pa.Table:
         rows = t.to_pylist()
         out = []
@@ -433,14 +444,14 @@ def _apply_binds(ds, binds):
             {n: pa.array([None if r.get(n) is None else str(r.get(n))
                           for r in out], pa.string()) for n in names})
 
-    return ds.map_batches(apply, batch_format="pyarrow")
+    return apply
 
 
-def _apply_values(ds, vars_, rows):
-    """``VALUES`` as a compatible-bindings join: each solution row joins
-    every inline data row whose non-UNDEF entries agree; UNDEF entries
-    are wildcards.  The inline list is a tiny constant (query text), so
-    the per-solution loop is bounded by its length."""
+def _apply_values(vars_, rows):
+    """Block fn: ``VALUES`` as a compatible-bindings join: each solution
+    row joins every inline data row whose non-UNDEF entries agree; UNDEF
+    entries are wildcards.  The inline list is a tiny constant (query
+    text), so the per-solution loop is bounded by its length."""
     def apply(t: pa.Table) -> pa.Table:
         sols = t.to_pylist()
         out = []
@@ -462,61 +473,66 @@ def _apply_values(ds, vars_, rows):
             {n: pa.array([None if r.get(n) is None else str(r.get(n))
                           for r in out], pa.string()) for n in names})
 
-    return ds.map_batches(apply, batch_format="pyarrow")
+    return apply
 
 
 def _str_cols(t: pa.Table) -> pa.Table:
     return pa.table({c: t[c].cast(pa.string()) for c in t.column_names})
 
 
-def _null_count(ds, cols) -> int:
-    """Nulls in ``ds``'s ``cols`` (a column it lacks counts none): one
-    row per block, summed here."""
-    return sum(r["n"] for r in ds.map_batches(
-        lambda t, _c=tuple(cols): pa.table({"n": pa.array(
-            [sum(t[c].null_count for c in _c if c in t.column_names)],
-            pa.int64())}),
-        batch_format="pyarrow").take_all())
+def _null_count(sols, cols) -> int:
+    """Rows of ``sols`` with a null in one of ``cols`` (a column it
+    lacks counts none): each task keeps only the row count."""
+    import pyarrow.compute as pc
+
+    def fn(t: pa.Table, _c=tuple(cols)) -> pa.Table:
+        nulls = [pc.is_null(t[c]) for c in _c if c in t.column_names]
+        if not nulls:
+            return t.select([]).slice(0, 0)
+        return t.filter(functools.reduce(pc.or_, nulls)).select([])
+
+    return sols.map(fn, ()).n
 
 
 def _strata_prep(sols, shared, with_lid):
     """String-cast + (optionally) full-row content hash ``__lid`` +
-    observed null-bitmask ``__stratum`` over ``shared``; compacted so
-    the per-stratum picks below reuse one execution."""
-    import pyarrow.compute as pc
-
-    def add_lid(df, _=None):
-        import pandas as pd
-
-        h = pd.util.hash_pandas_object(df, index=False) \
-            .astype("uint64").astype("int64")
-        df = df.copy()
-        df["__lid"] = h
-        return df
-
-    def add_mask(t: pa.Table, _sh=tuple(shared)) -> pa.Table:
+    observed null-bitmask ``__stratum`` over ``shared``, one task per
+    block."""
+    def prep(t: pa.Table, _sh=tuple(shared)) -> pa.Table:
         import numpy as np
+        import pandas as pd
+        import pyarrow.compute as pc
 
+        t = _str_cols(t)
+        if with_lid:
+            h = pd.util.hash_pandas_object(t.to_pandas(), index=False)
+            t = t.append_column("__lid", pa.array(
+                h.to_numpy(np.uint64).astype(np.int64), pa.int64()))
         mask = np.zeros(len(t), dtype="int64")
         for i, c in enumerate(_sh):
             isnull = pc.is_null(t[c]).to_numpy(zero_copy_only=False)
             mask |= isnull.astype("int64") << i
         return t.append_column("__stratum", pa.array(mask, pa.int64()))
 
-    def fix_types(t: pa.Table) -> pa.Table:
-        # the pandas hop in add_lid re-infers an ALL-NULL column as
-        # Arrow `null` type; joins reject null-typed non-key fields —
-        # force every non-lid column back to string
-        return pa.table({c: (t[c].cast(pa.int64()) if c == "__lid"
-                             else t[c].cast(pa.string()))
-                         for c in t.column_names})
+    return sols.map(prep, sols.cols + ("__lid",) * with_lid
+                    + ("__stratum",))
 
-    out = sols.ds.map_batches(_str_cols, batch_format="pyarrow")
-    if with_lid:
-        out = out.map_batches(add_lid, batch_format="pandas") \
-                 .map_batches(fix_types, batch_format="pyarrow")
-    return _compact(out.map_batches(add_mask, batch_format="pyarrow"),
-                    sols.cols + ("__lid",) * with_lid + ("__stratum",))
+
+def _distinct_col(col):
+    """Block fn: the block's distinct values of ``col``."""
+    def fn(t: pa.Table) -> pa.Table:
+        return t.select([col]).group_by([col]).aggregate([])
+
+    return fn
+
+
+def _values(sols, col) -> set:
+    """The distinct values of a small set's ``col``, fetched."""
+    import ray
+
+    return {v for t in ray.get(list(sols.map(_distinct_col(col),
+                                             (col,)).blocks))
+            for v in t[col].to_pylist()}
 
 
 def _compat_matches(lm, rm, shared, out_cols, cross_on_disjoint=True,
@@ -525,8 +541,8 @@ def _compat_matches(lm, rm, shared, out_cols, cross_on_disjoint=True,
     compatibility: agree on every var bound in BOTH; a null shared var
     is a wildcard).  ``lm``/``rm`` come from :func:`_strata_prep`.
     Returns the list of per-(left-stratum, right-stratum) projected
-    match datasets — the shared core of LeftJoin (crossing pairs with
-    no commonly-bound var), MINUS (skipping them — the disjoint-domain
+    match sets — the shared core of LeftJoin (crossing pairs with no
+    commonly-bound var), MINUS (skipping them — the disjoint-domain
     guard) and plain Join over nullable solutions.
 
     Each stratum drops its all-null shared columns, so a shared var
@@ -541,42 +557,26 @@ def _compat_matches(lm, rm, shared, out_cols, cross_on_disjoint=True,
         return {c for i, c in enumerate(shared) if (mask >> i) & 1}
 
     def pick(src, mask):
-        drop = unbound(mask) | {"__stratum"}
-
-        keep = [c for c in src.cols if c not in drop]
+        keep = [c for c in src.cols
+                if c not in unbound(mask) | {"__stratum"}]
 
         def fn(t: pa.Table, _m=mask) -> pa.Table:
             return t.filter(pc.equal(t["__stratum"], _m)).select(keep)
 
-        return _compact(src.ds.map_batches(fn, batch_format="pyarrow"),
-                        keep)
+        return src.map(fn, keep)
 
-    def masks(src):
-        # observed null bitmasks, distinct per block (Dataset.unique
-        # runs a limit=1 aggregate)
-        return sorted({r["__stratum"] for r in src.ds.map_batches(
-            lambda t: t.group_by(["__stratum"]).aggregate([]),
-            batch_format="pyarrow").take_all()})
-
-    def cross_key(ds):
-        return ds.map_batches(
-            lambda t: t.append_column(
-                "__x", pa.array(["_"] * len(t), pa.string())),
-            batch_format="pyarrow")
+    def cross_key(sols):
+        return sols.map(lambda t: t.append_column(
+            "__x", pa.array(["_"] * len(t), pa.string())),
+            sols.cols + ("__x",))
 
     proj = pa.schema([(c, pa.string()) for c in out_cols]
                      + ([("__lid", pa.int64())] if with_lid else []))
 
-    def project(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {f.name: (t[f.name].cast(f.type) if f.name in t.column_names
-                      else pa.nulls(len(t), f.type)) for f in proj},
-            schema=proj)
-
     r_strata = {}
     parts = []
-    r_masks = masks(rm)
-    for ml in masks(lm):
+    r_masks = sorted(_values(rm, "__stratum"))
+    for ml in sorted(_values(lm, "__stratum")):
         stratum = pick(lm, ml)
         if stratum.n == 0:
             continue
@@ -590,43 +590,24 @@ def _compat_matches(lm, rm, shared, out_cols, cross_on_disjoint=True,
             rstr = r_strata[mr]
             if rstr.n == 0:
                 continue
-            if join_on:
-                j = _solution_join(stratum.ds, stratum.n, rstr.ds, rstr.n,
-                                   "inner", join_on)
-            else:
+            left, right = stratum, rstr
+            if not join_on:
                 # no var bound on both sides: everything compatible
-                j = _solution_join(cross_key(stratum.ds), stratum.n,
-                                   cross_key(rstr.ds), rstr.n, "inner",
-                                   ["__x"])
-            parts.append(j.map_batches(project, batch_format="pyarrow"))
+                left, right, join_on = (cross_key(left), cross_key(right),
+                                        ["__x"])
+            joined = set(left.cols) | set(right.cols)
+            j = _solution_join(left, right, "inner", join_on,
+                               [f.name for f in proj if f.name in joined])
+            parts.append(j.map(_pad(proj), proj.names))
     return parts
 
 
 def _matched_lid_anti(lm, matches):
     """``lm`` rows whose ``__lid`` appears in no match row."""
-    def dedup_ids(t: pa.Table) -> pa.Table:
-        # empty filter outputs can arrive as schema-less blocks;
-        # emit a stable one-column schema either way
-        if "__lid" not in t.column_names:
-            return pa.table({"__lid": pa.array([], pa.int64())})
-        return t.select(["__lid"]).group_by(["__lid"]).aggregate([])
-
-    matched_ids = matches.map_batches(
-        dedup_ids, batch_format="pyarrow").materialize()
-    n_matched = matched_ids.count()
-    if n_matched == 0:
-        # a fully-empty materialized dataset loses its schema and the
-        # anti-join would fail resolving __lid; nothing matched
-        return lm.ds
-    return _solution_join(lm.ds, lm.n, matched_ids, n_matched,
-                          "left_anti", ["__lid"])
-
-
-def _union_all(parts):
-    out = parts[0]
-    for other in parts[1:]:
-        out = out.union(other)
-    return out
+    ids = matches.map(_distinct_col("__lid"), ("__lid",))
+    if ids.n == 0:
+        return lm
+    return _solution_join(lm, ids, "left_anti", ["__lid"], lm.cols)
 
 
 def _compat_inner_join(left, right, shared, out_cols):
@@ -636,11 +617,9 @@ def _compat_inner_join(left, right, shared, out_cols):
     unlike MINUS, has no disjoint-domain guard)."""
     lm = _strata_prep(left, shared, with_lid=False)
     rm = _strata_prep(right, shared, with_lid=False)
-    parts = _compat_matches(lm, rm, shared, out_cols,
-                            cross_on_disjoint=True, with_lid=False)
-    if not parts:
-        return Solutions.empty(out_cols)
-    return _compact(_union_all(parts), out_cols)
+    return _union(_compat_matches(lm, rm, shared, out_cols,
+                                  cross_on_disjoint=True, with_lid=False),
+                  out_cols)
 
 
 def _join_back(acc, other, shared, nullable):
@@ -651,12 +630,10 @@ def _join_back(acc, other, shared, nullable):
     out_cols = sorted(set(acc.cols) | set(other.cols))
     if acc.n == 0 or other.n == 0:
         return Solutions.empty(out_cols)
-    if set(shared) & nullable or _null_count(other.ds, shared):
+    if set(shared) & nullable or _null_count(other, shared):
         return _compat_inner_join(acc, other, shared, out_cols)
-    right = other.ds.map_batches(_str_cols, batch_format="pyarrow")
-    return _compact(_solution_join(acc.ds, acc.n, right, other.n, "inner",
-                                   shared).select_columns(out_cols),
-                    out_cols)
+    return _solution_join(acc, other.map(_str_cols, other.cols), "inner",
+                          shared, out_cols)
 
 
 def _left_join(acc, opt, nullable):
@@ -687,19 +664,16 @@ def _left_join(acc, opt, nullable):
     extra = sorted(set(opt.cols) - set(shared))
     out_cols = sorted(set(acc.cols) | set(opt.cols))
     null_shared = sorted(set(shared) & nullable)
+    pad = _pad(_str_schema(out_cols))
 
     if acc.n == 0:
         return Solutions.empty(out_cols), set(extra)
     if opt.n == 0:
-        return _compact(acc.ds.map_batches(_add_null_cols(extra),
-                                           batch_format="pyarrow"),
-                        out_cols), set(extra)
+        return acc.map(pad, out_cols), set(extra)
 
-    if not null_shared and not _null_count(opt.ds, shared):
-        right = opt.ds.map_batches(_str_cols, batch_format="pyarrow")
-        j = _solution_join(acc.ds, acc.n, right, opt.n, "left_outer",
-                           shared)
-        return _compact(j.select_columns(out_cols), out_cols), set(extra)
+    if not null_shared and not _null_count(opt, shared):
+        return _solution_join(acc, opt.map(_str_cols, opt.cols),
+                              "left_outer", shared, out_cols), set(extra)
 
     # ---- general per-binding compatibility (nulls on EITHER side) ----
     lm = _strata_prep(acc, shared, with_lid=True)
@@ -707,23 +681,12 @@ def _left_join(acc, opt, nullable):
     parts = _compat_matches(lm, rm, shared, out_cols,
                             cross_on_disjoint=True, with_lid=True)
     if parts:
-        matches = _union_all(parts).materialize()
-        unmatched = _matched_lid_anti(lm, matches)
-        parts = [matches, unmatched]
+        matches = _union(parts, out_cols + ["__lid"])
+        parts = [matches, _matched_lid_anti(lm, matches)]
     else:
-        parts = [lm.ds]
-
-    def pad_left(t: pa.Table, _oc=tuple(out_cols)) -> pa.Table:
-        cols = {}
-        for c in _oc:
-            cols[c] = (t[c].cast(pa.string()) if c in t.column_names
-                       else pa.nulls(len(t), pa.string()))
-        return pa.table(cols, schema=pa.schema(
-            [(c, pa.string()) for c in _oc]))
-
-    return _compact(_union_all([p.map_batches(pad_left,
-                                              batch_format="pyarrow")
-                                for p in parts]), out_cols), set(extra)
+        parts = [lm]
+    return _union([p.map(pad, out_cols) for p in parts],
+                  out_cols), set(extra)
 
 
 def _minus_nullable(left, right, shared):
@@ -735,9 +698,8 @@ def _minus_nullable(left, right, shared):
     rm = _strata_prep(right, shared, with_lid=False)
     parts = _compat_matches(lm, rm, shared, [],
                             cross_on_disjoint=False, with_lid=True)
-    kept = (_matched_lid_anti(lm, _union_all(parts).materialize())
-            if parts else lm.ds)
-    return _compact(kept.select_columns(list(left.cols)), left.cols)
+    kept = _matched_lid_anti(lm, _union(parts, ["__lid"])) if parts else lm
+    return kept.select(left.cols)
 
 
 _MAX_ENUM_GRAPHS = 64
@@ -776,42 +738,33 @@ def _eval_var_graph_group(triples, gvar, inner, num_partitions):
                       .combine_chunks())
         return pa.table({"g": g})
 
-    distinct = coarse_group_reduce(
+    distinct = _compact(coarse_group_reduce(
         base.map_batches(names, batch_format="pyarrow"),
-        ["g"], lambda df: df.drop_duplicates()).materialize()
-    n_graphs = distinct.count()
-    if n_graphs > _MAX_ENUM_GRAPHS:
+        ["g"], lambda df: df.drop_duplicates()), ["g"])
+    if distinct.n > _MAX_ENUM_GRAPHS:
         raise NotImplementedError(
             f"distributed SPARQL: GRAPH ?var with property paths / "
-            f"rich groups enumerates named graphs — {n_graphs} exceed "
+            f"rich groups enumerates named graphs — {distinct.n} exceed "
             f"the {_MAX_ENUM_GRAPHS} bound (per-graph closures do not "
             f"scale to per-document graphs)")
-    graphs = sorted(r["g"] for r in distinct.take_all() if r["g"])
+    subs = {g: _group_dataset(_graph_source(g)(triples), inner,
+                              num_partitions)
+            for g in sorted(g for g in _values(distinct, "g") if g)}
+    out_cols = sorted({gvar}.union(*(s.cols for s in subs.values())))
 
-    parts = []
-    out_cols = {gvar}
-    for gname in graphs:
-        sub = _group_dataset(_graph_source(gname)(triples), inner,
-                             num_partitions)
-        out_cols |= set(sub.cols)
+    def bind_graph(t: pa.Table, g) -> pa.Table:
+        if gvar in t.column_names:
+            # the inner group binds ?var too: it must agree with the
+            # graph name (an unbound inner value binds to it)
+            t = t.filter(pc.fill_null(
+                pc.equal(t[gvar].cast(pa.string()), g), True))
+        cols = {c: (t[c].cast(pa.string()) if c in t.column_names
+                    else pa.nulls(len(t), pa.string())) for c in out_cols}
+        cols[gvar] = pa.array([g] * len(t), pa.string())
+        return pa.table(cols)
 
-        def bind_graph(t: pa.Table, _g=gname, _v=gvar) -> pa.Table:
-            if _v in t.column_names:
-                # the inner group binds ?var too: it must agree with the
-                # graph name (an unbound inner value binds to it)
-                t = t.filter(pc.fill_null(
-                    pc.equal(t[_v].cast(pa.string()), _g), True))
-            cols = {c: t[c].cast(pa.string()) for c in t.column_names}
-            cols[_v] = pa.array([_g] * len(t), pa.string())
-            return pa.table({c: cols[c] for c in sorted(cols)})
-
-        if sub.n:
-            parts.append(sub.ds.map_batches(bind_graph,
-                                            batch_format="pyarrow"))
-    out_cols = sorted(out_cols)
-    if not parts:
-        return Solutions.empty(out_cols)
-    return _compact(_union_all(parts), out_cols)
+    return _union([sub.map(bind_graph, out_cols, g)
+                   for g, sub in subs.items()], out_cols)
 
 
 def _translate_group(elements):
@@ -1025,16 +978,8 @@ def _group_dataset(triples, elements, num_partitions):
         all_cols = sorted({c for a in arm_sols for c in a.cols})
         nullable |= set(all_cols) - set.intersection(
             *(set(a.cols) for a in arm_sols))
-
-        def pad(t: pa.Table, _cols=tuple(all_cols)) -> pa.Table:
-            return pa.table(
-                {c: (t[c].cast(pa.string()) if c in t.column_names
-                     else pa.nulls(len(t), pa.string())) for c in _cols},
-                schema=pa.schema([(c, pa.string()) for c in _cols]))
-
-        uds = _compact(_union_all(
-            [a.ds.map_batches(pad, batch_format="pyarrow")
-             for a in arm_sols]), all_cols)
+        pad = _pad(_str_schema(all_cols))
+        uds = _union([a.map(pad, all_cols) for a in arm_sols], all_cols)
         if acc is None:
             acc = uds
             continue
@@ -1102,13 +1047,10 @@ def _group_dataset(triples, elements, num_partitions):
         shared = sorted(set(acc.cols) & set(mins.cols))
         if not shared or acc.n == 0 or mins.n == 0:
             continue  # disjoint domains remove nothing (§18.5 guard)
-        if not (set(shared) & nullable) and not _null_count(mins.ds,
-                                                           shared):
-            acc = _compact(_solution_join(
-                acc.ds, acc.n,
-                mins.ds.map_batches(_distinct_keys(shared),
-                                    batch_format="pyarrow"), mins.n,
-                "left_anti", shared), acc.cols)
+        if not (set(shared) & nullable) and not _null_count(mins, shared):
+            acc = _solution_join(
+                acc, mins.map(_distinct_keys(shared), shared), "left_anti",
+                shared, acc.cols)
         else:
             # per-binding MINUS (§18.5): μ1 removed iff some μ2 agrees
             # on every var bound in BOTH and they share at least one
@@ -1133,35 +1075,27 @@ def _group_dataset(triples, elements, num_partitions):
     # BIND (derived vars) → EXISTS/FILTER (SPARQL applies filters at
     # group end; negated-property-set filters must also see their fresh
     # __p vars)
-    ds, cols = acc.ds, acc.cols
     for vars_, rows in values_blocks:
-        ds = _apply_values(ds, vars_, rows)
-        cols = tuple(sorted(set(cols) | set(vars_)))
+        acc = acc.map(_apply_values(vars_, rows),
+                      sorted(set(acc.cols) | set(vars_)))
     if binds:
-        ds = _apply_binds(ds, binds)
-        cols = tuple(sorted(set(cols) | {var for var, _ in binds}))
+        acc = acc.map(_apply_binds(binds),
+                      sorted(set(acc.cols) | {var for var, _ in binds}))
     for negated, group_elements in exists_groups:
         probe = _group_dataset(triples, group_elements, num_partitions)
-        acc = _compact(ds, cols)
-        ds = acc.ds
-        shared = sorted(set(cols) & set(probe.cols))
+        shared = sorted(set(acc.cols) & set(probe.cols))
         if not shared or acc.n == 0 or probe.n == 0:
             # uncorrelated EXISTS, or nothing to join: group emptiness
             # decides
             if (probe.n > 0) == negated:
-                ds = Solutions.empty(cols).ds
+                acc = Solutions.empty(acc.cols)
             continue
-        ds = _solution_join(
-            acc.ds, acc.n,
-            probe.ds.map_batches(_distinct_keys(shared),
-                                 batch_format="pyarrow"), probe.n,
-            "left_anti" if negated else "left_semi", shared)
+        acc = _solution_join(
+            acc, probe.map(_distinct_keys(shared), shared),
+            "left_anti" if negated else "left_semi", shared, acc.cols)
     if filters:
-        ds = _row_filters(ds, filters)
-    out = [c for c in cols if not c.startswith("__p")]
-    if len(out) < len(cols):
-        ds = ds.select_columns(out)
-    return _compact(ds, out)
+        acc = acc.map(_row_filters(filters), acc.cols)
+    return acc.select([c for c in acc.cols if not c.startswith("__p")])
 
 
 def sparql_query(triples, query: str, num_partitions: int | None = None):
@@ -1183,10 +1117,10 @@ def sparql_query(triples, query: str, num_partitions: int | None = None):
     if form == "ASK":
         body_query = re.sub(r"\bASK\b", "SELECT *", query, count=1,
                             flags=re.IGNORECASE)
-        any_row = sparql_select(triples, body_query,
-                                num_partitions).limit(1).count()
+        any_row = _select_solutions(triples, body_query, num_partitions,
+                                    {}).n > 0
         return ray.data.from_arrow(
-            pa.table({"ask": pa.array([any_row > 0], pa.bool_())}))
+            pa.table({"ask": pa.array([any_row], pa.bool_())}))
     if form == "DESCRIBE":
         from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import (
             khop_subgraph,
@@ -1312,10 +1246,9 @@ def _general_aggregate(acc, group_vars, agg_items):
 
     keys = group_vars or ["__g"]
     if not group_vars:
-        acc = acc.map_batches(
-            lambda t: t.append_column(
-                "__g", pa.array(["_"] * len(t), pa.string())),
-            batch_format="pyarrow")
+        acc = acc.map(lambda t: t.append_column(
+            "__g", pa.array(["_"] * len(t), pa.string())),
+            acc.cols + ("__g",))
 
     def combine(df: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -1326,7 +1259,7 @@ def _general_aggregate(acc, group_vars, agg_items):
             rows.append(_agg_row(g, row, agg_items))
         return _agg_frame(rows, group_vars, agg_items)
 
-    return coarse_group_reduce(acc, keys, combine)
+    return coarse_group_reduce(acc.ds, keys, combine)
 
 
 def sparql_select(triples, query: str, num_partitions: int | None = None):
@@ -1411,56 +1344,60 @@ def _select_solutions(triples, query, num_partitions, base_prefixes):
         # SAMPLE / GROUP_CONCAT / MIN/MAX's per-group lexical fallback
         fast = all(not dist and fname in ("COUNT", "SUM", "AVG")
                    for fname, dist, _v, _s, _a in agg_items)
-        if not group_vars and acc.n == 0:
+        out_cols = group_vars + [a for *_x, a in agg_items]
+        if acc.n == 0 and group_vars:
+            sols = Solutions.empty(out_cols)
+        elif acc.n == 0:
             # §18.5.1: without GROUP BY the solutions form ONE group,
             # even when there are none
-            ds = ray.data.from_pandas(_agg_frame(
+            row = _arrow_block(_agg_frame(
                 [_agg_row(pd.DataFrame(columns=list(acc.cols)), {},
                           agg_items)], [], agg_items))
-        elif not fast:
-            ds = _general_aggregate(acc.ds, group_vars, agg_items)
+            sols = Solutions((ray.put(row),), tuple(out_cols), 1)
         else:
-            num_needed = sorted({v for fn, _d, v, _s, _a in agg_items
-                                 if v is not None and fn in ("SUM",
-                                                             "AVG")})
-
-            def prep(t: pa.Table) -> pa.Table:
-                import pyarrow.compute as pc
-
-                out = {c: t[c] for c in t.column_names}
-                for v in num_needed:
-                    try:
-                        out["__num_" + v] = pc.cast(t[v], pa.float64())
-                    except pa.ArrowInvalid as exc:
-                        # match the in-memory evaluator: SUM/AVG over a
-                        # non-numeric binding is a query error, not a
-                        # silent skip
-                        raise ValueError(
-                            f"aggregate over non-numeric values of "
-                            f"?{v}: {exc}") from exc
-                out["__one"] = pa.array([1] * len(t), pa.int64())
-                return pa.table(out)
-
-            aggs = []
-            for fn, _d, v, _s, alias in agg_items:
-                if fn == "COUNT":
-                    if v is None:
-                        aggs.append(Count(alias_name=alias))
-                    else:
-                        aggs.append(Count(v, ignore_nulls=True,
-                                          alias_name=alias))
-                elif fn == "SUM":
-                    aggs.append(Sum("__num_" + v, alias_name=alias))
-                elif fn == "AVG":
-                    aggs.append(Mean("__num_" + v, alias_name=alias))
-            ds = acc.ds.map_batches(prep, batch_format="pyarrow")
-            if group_vars:
-                ds = ds.groupby(group_vars).aggregate(*aggs)
+            if not fast:
+                ds = _general_aggregate(acc, group_vars, agg_items)
             else:
-                ds = ds.groupby("__one").aggregate(*aggs) \
-                       .drop_columns(["__one"])
-        out_cols = group_vars + [a for *_x, a in agg_items]
-        ds = ds.select_columns(out_cols)
+                num_needed = sorted({v for fn, _d, v, _s, _a in agg_items
+                                     if v is not None
+                                     and fn in ("SUM", "AVG")})
+
+                def prep(t: pa.Table) -> pa.Table:
+                    import pyarrow.compute as pc
+
+                    out = {c: t[c] for c in t.column_names}
+                    for v in num_needed:
+                        try:
+                            out["__num_" + v] = pc.cast(t[v], pa.float64())
+                        except pa.ArrowInvalid as exc:
+                            # match the in-memory evaluator: SUM/AVG over
+                            # a non-numeric binding is a query error, not
+                            # a silent skip
+                            raise ValueError(
+                                f"aggregate over non-numeric values of "
+                                f"?{v}: {exc}") from exc
+                    out["__one"] = pa.array([1] * len(t), pa.int64())
+                    return pa.table(out)
+
+                aggs = []
+                for fn, _d, v, _s, alias in agg_items:
+                    if fn == "COUNT":
+                        if v is None:
+                            aggs.append(Count(alias_name=alias))
+                        else:
+                            aggs.append(Count(v, ignore_nulls=True,
+                                              alias_name=alias))
+                    elif fn == "SUM":
+                        aggs.append(Sum("__num_" + v, alias_name=alias))
+                    elif fn == "AVG":
+                        aggs.append(Mean("__num_" + v, alias_name=alias))
+                ds = acc.map(prep, acc.cols + tuple(
+                    "__num_" + v for v in num_needed) + ("__one",)).ds
+                if group_vars:
+                    ds = ds.groupby(group_vars).aggregate(*aggs)
+                else:
+                    ds = ds.groupby("__one").aggregate(*aggs)
+            sols = _compact(ds.select_columns(out_cols), out_cols)
         # HAVING: the parser's compiled filter over group keys +
         # aggregate aliases, applied per (already tiny) group row
         m_hav = re.search(r"\bHAVING\s*\(", tail, re.IGNORECASE)
@@ -1470,20 +1407,22 @@ def _select_solutions(triples, query, num_partitions, base_prefixes):
             )
 
             expr, _end = GraphIndex._read_parens(tail, m_hav.end() - 1)
-            ds = _row_filters(ds, [_compile_filter(expr, prefixes)])
+            sols = sols.map(_row_filters([_compile_filter(expr, prefixes)]),
+                            out_cols)
     else:
         out_cols = plain_vars or list(acc.cols)
-        ds = acc.ds.select_columns(out_cols)
-        if distinct:
-            ds = coarse_group_reduce(
-                ds, out_cols, lambda g: g.drop_duplicates(subset=out_cols))
+        sols = acc.select(out_cols)
+        if distinct and sols.n:
+            sols = _compact(coarse_group_reduce(
+                sols.ds, out_cols,
+                lambda g: g.drop_duplicates(subset=out_cols)), out_cols)
 
     # ---- ORDER BY / OFFSET / LIMIT ----
     m_ord = re.search(
         r"ORDER\s+BY\s+((?:(?:ASC|DESC)\s*\(\s*\?\w+\s*\)|\?\w+)"
         r"(?:\s+(?:(?:ASC|DESC)\s*\(\s*\?\w+\s*\)|\?\w+))*)",
         tail, re.IGNORECASE)
-    if m_ord:
+    if m_ord and sols.n:
         keys = re.findall(r"(?:(ASC|DESC)\s*\(\s*\?(\w+)\s*\)|\?(\w+))",
                           m_ord.group(1), re.IGNORECASE)
         cols = [(v1 or v2) for _, v1, v2 in keys]
@@ -1494,10 +1433,10 @@ def _select_solutions(triples, query, num_partitions, base_prefixes):
         # 0 numeric / 1 string — so values compare numerically when both
         # parse as numbers, strings sort after numbers, and unbound
         # sorts LOWEST (leads under ASC, trails under DESC)
-        def add_sort_keys(df):
+        def add_sort_keys(t: pa.Table) -> pa.Table:
             import numpy as np
-            import pandas as pd
 
+            df = t.to_pandas()
             for i, c in enumerate(cols):
                 v = df[c]
                 num = pd.to_numeric(v, errors="coerce")
@@ -1508,26 +1447,30 @@ def _select_solutions(triples, query, num_partitions, base_prefixes):
                 df[f"__ord{i}n"] = num.fillna(0.0).astype("float64")
                 df[f"__ord{i}s"] = np.where(
                     numeric | unbound, "", v.astype(str))
-            return df
+            return _arrow_block(df)
 
         sort_cols = [f"__ord{i}{p}" for i in range(len(cols))
                      for p in "kns"]
         sort_desc = [d for d in desc for _ in range(3)]
-        ds = ds.map_batches(add_sort_keys, batch_format="pandas") \
-               .sort(sort_cols, descending=sort_desc) \
-               .drop_columns(sort_cols)
+        sols = _compact(sols.map(add_sort_keys, out_cols + sort_cols).ds
+                        .sort(sort_cols, descending=sort_desc)
+                        .drop_columns(sort_cols), out_cols)
     m_off = re.search(r"\bOFFSET\s+(\d+)", tail, re.IGNORECASE)
     m_lim = re.search(r"\bLIMIT\s+(\d+)", tail, re.IGNORECASE)
-    if m_off and int(m_off.group(1)) > 0:
-        # distributed skip: global positions need one materialization —
-        # bounded by OFFSET+LIMIT when LIMIT is present, and always
-        # applied to the post-modifier RESULT set, not the triple table.
-        # Without ORDER BY the skipped rows are engine-order (same as
-        # any distributed store); sort first for deterministic paging.
-        off = int(m_off.group(1))
+    off = int(m_off.group(1)) if m_off else 0
+    if (off or m_lim) and sols.n:
+        ds = sols.ds
+        if off:
+            # distributed skip: global positions need one
+            # materialization — bounded by OFFSET+LIMIT when LIMIT is
+            # present, and always applied to the post-modifier RESULT
+            # set, not the triple table.  Without ORDER BY the skipped
+            # rows are engine-order (same as any distributed store);
+            # sort first for deterministic paging.
+            if m_lim:
+                ds = ds.limit(off + int(m_lim.group(1)))
+            ds = ds.split_at_indices([off])[1]
         if m_lim:
-            ds = ds.limit(off + int(m_lim.group(1)))
-        ds = ds.split_at_indices([off])[1]
-    if m_lim:
-        ds = ds.limit(int(m_lim.group(1)))
-    return _compact(ds, out_cols)
+            ds = ds.limit(int(m_lim.group(1)))
+        sols = _compact(ds, out_cols)
+    return sols

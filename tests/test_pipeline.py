@@ -351,3 +351,75 @@ def test_ttl_sink_all_missing_lang_float_column(ray_session, tmp_path):
                    for p in glob.glob(out + "/part-*.ttl"))
     assert '"v1"' in text and '"v2"' in text
     assert "nan" not in text
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+_RAY_AT_ONE_CPU = """
+import sys
+sys.path.insert(0, {repo!r})
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR", log_to_driver=False,
+         object_store_memory=200 * 2**20)
+import ray.data
+ray.data.DataContext.get_current().enable_progress_bars = False
+from cmc_knowledge_graph_text2ttl_ray.pipelines.kg import run_kg_pipeline
+from cmc_knowledge_graph_text2ttl_ray.sources.pages import pages_dataset
+"""
+
+
+def _run_script(body, env, cwd, timeout):
+    import subprocess
+    import sys
+
+    return subprocess.run(
+        [sys.executable, "-c", _RAY_AT_ONE_CPU.format(repo=REPO) + body],
+        env=env, cwd=cwd, capture_output=True, text=True, timeout=timeout)
+
+
+def test_build_at_one_cpu_matches_golden(tmp_path):
+    """At 1 Ray CPU the extractor pool must leave the read tasks a CPU
+    (it used to hold the only one and the build stalled)."""
+    import json
+
+    proc = _run_script("""
+import json
+recs = run_kg_pipeline(pages_dataset(60, override_num_blocks=3))["records"]
+df = recs.to_pandas()
+df = df[df["rec"] == "triple"]
+cols = ["subject", "predicate", "object", "object_kind", "object_lang",
+        "object_datatype"]
+out = {}
+for url, g in df.groupby("doc_url"):
+    out[url] = [[None if v != v else v for v in row]
+                for row in g[cols].itertuples(index=False, name=None)]
+print("TRIPLES=" + json.dumps(out))
+""", env=dict(os.environ, PYTHONPATH=REPO), cwd=str(tmp_path), timeout=150)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    line = [ln for ln in proc.stdout.splitlines() if ln.startswith("TRIPLES=")]
+    got = json.loads(line[0][len("TRIPLES="):])
+    with open(os.path.join(REPO, "tests", "golden_triples.json")) as fh:
+        golden = json.load(fh)
+    for url, expected in golden.items():
+        assert (set(map(tuple, got.get(url, [])))
+                == set(map(tuple, expected["triples"]))), url
+
+
+def test_unimportable_workers_fail_by_name(tmp_path):
+    """Workers that cannot import the package (checkout on the calling
+    script's sys.path only) raise at once instead of hanging the build."""
+    import time
+
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    t0 = time.time()
+    proc = _run_script("""
+try:
+    run_kg_pipeline(pages_dataset(4))
+except RuntimeError as exc:
+    print("RAISED " + str(exc))
+""", env=env, cwd=str(tmp_path), timeout=60)
+    assert time.time() - t0 < 60
+    assert "RAISED" in proc.stdout, proc.stderr[-2000:]
+    assert "cmc_knowledge_graph_text2ttl_ray" in proc.stdout
+    assert "PYTHONPATH" in proc.stdout
