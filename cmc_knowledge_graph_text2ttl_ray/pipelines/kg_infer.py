@@ -20,7 +20,18 @@ Scale shape
   ``kg_incremental.kg_new_triples``-shaped), and the closure is
   re-materialized once per round.  Rounds are bounded by rule-graph
   depth (ontology hierarchies are shallow); per-round cost is
-  rules × body-size BGP evaluations over delta-sized inputs.
+  rules × body-size BGP evaluations over delta-sized inputs.  Inputs
+  of at most :data:`DRIVER_ROWS` triples run the same semi-naive loop
+  driver-side in pandas.
+- Every hierarchy closure (``rdfs_closure``'s ``subClassOf`` /
+  ``subPropertyOf``, ``owl_lite_closure``'s transitive properties,
+  ``owl_equivalence_closure``'s equivalences) is ONE ``forward_chain``
+  call with one transitive rule per predicate, so it inherits both
+  tiers.
+- Every join of two computed sets (the rdfs pair maps past
+  ``functions.cluster.BROADCAST_JOIN_ROWS``, the sameAs labeling, the
+  PageRank lookup) is ``kg_query._solution_join``, which picks its
+  broadcast or hash-shuffle tier by the sets' exact row counts.
 
 Binding values are lexical strings; template objects default to
 ``object_kind="iri"`` — declare ``{"object_kind": "literal", ...}`` per
@@ -46,6 +57,14 @@ _TRIPLE_COLS = ("subject", "predicate", "object",
                 "object_kind", "object_lang", "object_datatype")
 
 _TRIPLES_SCHEMA = pa.schema([(c, pa.string()) for c in _TRIPLE_COLS])
+
+# Forward-chaining and DRed inputs of at most this many triples run the
+# semi-naive loop driver-side in pandas (:func:`_pd_forward_chain`,
+# :func:`_pd_dred`), where the distributed loop's fixed per-round Ray
+# overhead would dominate; larger ones run as Ray Data rounds.  Read at
+# call time, like ``functions.cluster.BROADCAST_JOIN_ROWS``: 0 forces
+# the distributed loop.
+DRIVER_ROWS = 200_000
 
 
 class Rule:
@@ -144,22 +163,39 @@ def _dedup_triples(ds, num_partitions: int | None = None):
         num_coarse=num_partitions)
 
 
+def _empty_triples():
+    import ray.data
+
+    return ray.data.from_arrow(_TRIPLES_SCHEMA.empty_table())
+
+
 def _norm_triples(ds):
     """Project any triple-shaped Dataset onto the pipeline's 6-column
-    string schema (missing typing columns become nulls)."""
+    string schema.  Missing typing columns become nulls, except a
+    missing or null ``object_kind``, which becomes ``"iri"`` — the
+    typing a rule head gives a derived fact, so a closure never
+    re-derives a base fact that differs from it only in typing."""
     def pick(t: pa.Table) -> pa.Table:
         cols = {}
         for c in _TRIPLE_COLS:
             cols[c] = (t[c].cast(pa.string()) if c in t.column_names
                        else pa.nulls(len(t), pa.string()))
+        cols["object_kind"] = pc.fill_null(cols["object_kind"], "iri")
         return pa.table(cols, schema=_TRIPLES_SCHEMA)
 
     return ds.map_batches(pick, batch_format="pyarrow")
 
 
-def _new_vs_known(candidates, known, num_partitions: int):
+def _transitive(pred: str) -> Rule:
+    return Rule([("?a", pred, "?b"), ("?b", pred, "?c")],
+                [("?a", pred, "?c")], name=f"trans:{pred}")
+
+
+def _new_vs_known(candidates, known, num_partitions: int,
+                  keep_known: bool = False):
     """Set difference ``candidates - known`` on full triple identity
-    (hash co-partition, one exchange — kg_incremental shape)."""
+    (hash co-partition, one exchange — kg_incremental shape); with
+    ``keep_known`` the intersection ``candidates ∩ known`` instead."""
     cols = list(_TRIPLE_COLS)
 
     def tag(side: int):
@@ -176,18 +212,64 @@ def _new_vs_known(candidates, known, num_partitions: int):
     both = known.map_batches(tag(0), batch_format="pyarrow").union(
         candidates.map_batches(tag(1), batch_format="pyarrow"))
 
-    def keep_new(g: pd.DataFrame) -> pa.Table:
+    def keep(g: pd.DataFrame) -> pa.Table:
         g = g.drop_duplicates(subset=cols + ["side"])
         grp = g.groupby(cols, dropna=False, sort=False)["side"]
-        new_only = grp.transform("min") == 1
-        keep = g[new_only & (g["side"] == 1)]
-        if keep.empty:
-            return _TRIPLES_SCHEMA.empty_table()
-        return pa.Table.from_pandas(keep[cols], schema=_TRIPLES_SCHEMA,
+        in_known = grp.transform("min") == 0
+        out = g[(in_known == keep_known) & (g["side"] == 1)]
+        return pa.Table.from_pandas(out[cols], schema=_TRIPLES_SCHEMA,
                                     preserve_index=False)
 
     return (both.groupby("part")
-            .map_groups(keep_new, batch_format="pandas"))
+            .map_groups(keep, batch_format="pandas"))
+
+
+def _hashed_graph(edges, what: str):
+    """The IRI edges ``edges`` (``kg_query.Solutions`` over ``a``,
+    ``b``) with 64-bit md5 ids ``ha`` / ``hb``, and their node table
+    ``(h, iri)`` — ``(edges, nodes)``, both Solutions.  An
+    EXACT collision check (distinct IRIs per hash, inside the same
+    exchange that dedups the node table) fails fast rather than
+    silently merging unrelated entities."""
+    import hashlib
+
+    from cmc_knowledge_graph_text2ttl_ray.functions.cluster import (
+        coarse_group_reduce,
+    )
+    from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import _compact
+
+    def h64(vals):
+        return pa.array(
+            [int.from_bytes(hashlib.md5(v.encode("utf-8")).digest()[:8],
+                            "big", signed=False) - (1 << 63) for v in vals],
+            pa.int64())
+
+    def hash_ids(t: pa.Table) -> pa.Table:
+        return t.append_column("ha", h64(t["a"].to_pylist())) \
+                .append_column("hb", h64(t["b"].to_pylist()))
+
+    edges = edges.map(hash_ids, ("a", "b", "ha", "hb"))
+
+    def node_rows(t: pa.Table) -> pa.Table:
+        return pa.table({
+            "h": pa.concat_arrays([t["ha"].combine_chunks(),
+                                   t["hb"].combine_chunks()]),
+            "iri": pa.concat_arrays([t["a"].combine_chunks(),
+                                     t["b"].combine_chunks()]),
+        })
+
+    def dedup_nodes(g: pd.DataFrame) -> pd.DataFrame:
+        g = g.drop_duplicates(subset=["h", "iri"])
+        if g["h"].duplicated().any():
+            raise ValueError(
+                f"64-bit IRI hash collision — {what} aborted (rehash "
+                "with a different salt or use dense ids)")
+        return g
+
+    nodes = _compact(coarse_group_reduce(
+        edges.ds.map_batches(node_rows, batch_format="pyarrow"),
+        ["h"], dedup_nodes), ("h", "iri"))
+    return edges, nodes
 
 
 def merge_equivalent_entities(triples, sameas_pred: str,
@@ -204,24 +286,24 @@ def merge_equivalent_entities(triples, sameas_pred: str,
     component labeling runs on the edge set only
     (``graph_algos.connected_components``: numpy driver path below its
     edge threshold, pointer-doubling rounds above).  IRIs enter CC as
-    64-bit md5 ids; an EXACT collision check (distinct hashes vs
-    distinct IRIs, one aggregate each) fails fast rather than silently
-    merging unrelated entities.  The rewrite broadcasts the mapping
-    below ``broadcast_threshold`` (``ray.put`` once, dictionary-encoded
-    per block) and falls back to the salted two-join rewrite above it —
-    the same adaptive pair the canonicalization stage uses."""
-    import ray
-
+    64-bit md5 ids (:func:`_hashed_graph`, exact collision check).  The
+    node labeling and the canonical lookup are
+    :func:`~cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query._solution_join`
+    joins.  The rewrite broadcasts the mapping below
+    ``broadcast_threshold`` (``ray.put`` once, dictionary-encoded per
+    block) and falls back to the salted two-join rewrite above it — the
+    same adaptive pair the canonicalization stage uses."""
     from cmc_knowledge_graph_text2ttl_ray.functions.cluster import (
         coarse_group_reduce,
-        default_join_partitions,
     )
     from cmc_knowledge_graph_text2ttl_ray.pipelines.graph_algos import (
         connected_components,
     )
     from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import (
+        Solutions,
+        _compact,
         _pattern_scan,
-        _reblock,
+        _solution_join,
     )
     from cmc_knowledge_graph_text2ttl_ray.stages.canonicalize import (
         apply_canonical_mapping,
@@ -234,90 +316,34 @@ def merge_equivalent_entities(triples, sameas_pred: str,
     else:
         full = pair_src = triples
 
-    def hash_ids(t: pa.Table) -> pa.Table:
-        import hashlib
-
-        def h64(vals):
-            return pa.array(
-                [int.from_bytes(
-                    hashlib.md5(v.encode("utf-8")).digest()[:8],
-                    "big", signed=False) - (1 << 63) for v in vals],
-                pa.int64())
-
-        a = t["a"].to_pylist()
-        b = t["b"].to_pylist()
-        return pa.table({"a": t["a"], "b": t["b"],
-                         "ha": h64(a), "hb": h64(b)})
-
-    pairs, n_pairs = _reblock(
-        _pattern_scan(pair_src, ("?a", sameas_pred, "?b")).ds
-        .map_batches(hash_ids, batch_format="pyarrow"))
-    if pairs is None:
-        import ray.data
-
-        empty_map = ray.data.from_arrow(pa.table(
-            {"iri": pa.array([], pa.string()),
-             "canonical": pa.array([], pa.string())}))
-        return {"triples": full, "mapping": empty_map, "n_mapped": 0}
-
-    # node table (hash, iri) + EXACT collision check
-    def node_rows(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "h": pa.concat_arrays([t["ha"].combine_chunks(),
-                                   t["hb"].combine_chunks()]),
-            "iri": pa.concat_arrays([t["a"].combine_chunks(),
-                                     t["b"].combine_chunks()]),
-        })
-
-    def dedup_nodes(g):
-        return g.drop_duplicates(subset=["h", "iri"])
-
-    nodes = coarse_group_reduce(
-        pairs.map_batches(node_rows, batch_format="pyarrow"),
-        ["h"], dedup_nodes).materialize()
-
-    def collision_guard(g):
-        bad = g.groupby("h")["iri"].nunique()
-        if (bad > 1).any():
-            raise ValueError(
-                "64-bit IRI hash collision inside a sameAs component "
-                "set — merge aborted (rehash with a different salt or "
-                "use dense ids)")
-        return g.drop_duplicates(subset=["h"])[["h"]].assign(ok=1)
-
-    coarse_group_reduce(nodes, ["h"], collision_guard).count()
-
+    pairs = _pattern_scan(pair_src, ("?a", sameas_pred, "?b"))
+    if pairs.n == 0:
+        return {"triples": full, "n_mapped": 0,
+                "mapping": Solutions.empty(("iri", "canonical")).ds}
+    pairs, nodes = _hashed_graph(pairs, "merge")
     cc = connected_components(
-        pairs.select_columns(["ha", "hb"]), a="ha", b="hb")
+        pairs.ds.select_columns(["ha", "hb"]), a="ha", b="hb")
 
     # canonical per cluster = min IRI; mapping = iri -> canonical
-    n_nodes = nodes.count()
-    np_join = max(1, min(default_join_partitions(),
-                         -(-n_nodes // 50_000)))
-    labeled = nodes.join(
-        cc, join_type="inner", num_partitions=np_join,
-        on=("h",), right_on=("node",)).select_columns(
-            ["iri", "cluster_id"])
+    cc = cc.map_batches(lambda t: pa.table(
+        {"h": t["node"], "cluster_id": t["cluster_id"]}),
+        batch_format="pyarrow")
+    labeled = _solution_join(nodes, _compact(cc, ("h", "cluster_id")),
+                             "inner", ["h"], ("iri", "cluster_id"))
 
     def min_iri(g):
-        out = (g.groupby("cluster_id", as_index=False)["iri"].min()
-               .rename(columns={"iri": "canonical",
-                                "cluster_id": "cluster_id__r"}))
-        return out
+        return (g.groupby("cluster_id", as_index=False)["iri"].min()
+                .rename(columns={"iri": "canonical"}))
 
-    canon = coarse_group_reduce(labeled, ["cluster_id"], min_iri)
-    canon, _n_canon = _reblock(canon)
-    labeled, _n = _reblock(labeled)
-    mapping_ds = labeled.join(
-        canon, join_type="inner", num_partitions=np_join,
-        on=("cluster_id",), right_on=("cluster_id__r",),
-    )
-    mapping_ds = mapping_ds.select_columns(["iri", "canonical"]) \
-        .map_batches(
-            lambda t: t.filter(pc.invert(
-                pc.equal(t["iri"], t["canonical"]))),
-            batch_format="pyarrow").materialize()
-    n_mapped = mapping_ds.count()
+    canon = _compact(coarse_group_reduce(labeled.ds, ["cluster_id"],
+                                         min_iri),
+                     ("cluster_id", "canonical"))
+    mapping = _solution_join(
+        labeled, canon, "inner", ["cluster_id"], ("iri", "canonical")).map(
+            lambda t: t.filter(pc.invert(pc.equal(t["iri"],
+                                                  t["canonical"]))),
+            ("iri", "canonical"))
+    mapping_ds, n_mapped = mapping.ds, mapping.n
 
     if n_mapped <= broadcast_threshold:
         mdict = {}
@@ -344,19 +370,20 @@ def kg_entity_pagerank(triples, damping: float = 0.85, iters: int = 4,
     """Entity importance over the KG's IRI→IRI link graph: every triple
     whose object is an IRI is a directed edge subject→object;
     :func:`~cmc_knowledge_graph_text2ttl_ray.pipelines.graph_algos.pagerank` runs over
-    64-bit md5 node ids (same exact collision guard as the sameAs
-    merge), ranks map back to IRIs.  Returns an ``(iri, rank)`` Dataset,
-    optionally the ``top_k`` by rank (deterministic IRI tie-break)."""
-    import hashlib
+    64-bit md5 node ids (:func:`_hashed_graph`, the same exact
+    collision guard as the sameAs merge), ranks map back to IRIs
+    through one ``kg_query._solution_join``.  Returns an ``(iri,
+    rank)`` Dataset, optionally the ``top_k`` by rank (deterministic IRI
+    tie-break)."""
+    import ray.data
 
-    from cmc_knowledge_graph_text2ttl_ray.functions.cluster import (
-        coarse_group_reduce,
-        default_join_partitions,
-    )
     from cmc_knowledge_graph_text2ttl_ray.pipelines.graph_algos import (
         pagerank,
     )
-    from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import _reblock
+    from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import (
+        _compact,
+        _solution_join,
+    )
 
     if hasattr(triples, "scan_for_predicate"):
         triples = triples.scan_for_predicate(None)
@@ -365,59 +392,25 @@ def kg_entity_pagerank(triples, damping: float = 0.85, iters: int = 4,
         if "object_kind" in t.column_names:
             t = t.filter(pc.fill_null(
                 pc.equal(t["object_kind"], "iri"), False))
+        return pa.table({"a": t["subject"].cast(pa.string()),
+                         "b": t["object"].cast(pa.string())})
 
-        def h64(vals):
-            return pa.array(
-                [int.from_bytes(
-                    hashlib.md5(v.encode("utf-8")).digest()[:8],
-                    "big", signed=False) - (1 << 63) for v in vals],
-                pa.int64())
-
-        a = t["subject"].to_pylist()
-        b = t["object"].to_pylist()
-        return pa.table({"a": pa.array(a, pa.string()),
-                         "b": pa.array(b, pa.string()),
-                         "src": h64(a), "dst": h64(b)})
-
-    edges, n_edges = _reblock(
-        triples.map_batches(edge_rows, batch_format="pyarrow"))
-    if edges is None:
-        import ray.data
-
+    edges = _compact(triples.map_batches(edge_rows, batch_format="pyarrow"),
+                     ("a", "b"))
+    if edges.n == 0:
         return ray.data.from_arrow(pa.table(
             {"iri": pa.array([], pa.string()),
              "rank": pa.array([], pa.float64())}))
+    edges, nodes = _hashed_graph(edges, "pagerank")
 
-    def node_rows(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "h": pa.concat_arrays([t["src"].combine_chunks(),
-                                   t["dst"].combine_chunks()]),
-            "iri": pa.concat_arrays([t["a"].combine_chunks(),
-                                     t["b"].combine_chunks()]),
-        })
-
-    nodes = coarse_group_reduce(
-        edges.map_batches(node_rows, batch_format="pyarrow"),
-        ["h"], lambda g: g.drop_duplicates(subset=["h", "iri"])
-    ).materialize()
-
-    def collision_guard(g):
-        if (g.groupby("h")["iri"].nunique() > 1).any():
-            raise ValueError(
-                "64-bit IRI hash collision in the entity graph — "
-                "pagerank aborted")
-        return g.drop_duplicates(subset=["h"])[["h"]]
-
-    coarse_group_reduce(nodes, ["h"], collision_guard).count()
-
-    ranks = pagerank(edges.select_columns(["src", "dst"]),
-                     damping=damping, iters=iters)
-    n_nodes = nodes.count()
-    np_join = max(1, min(default_join_partitions(),
-                         -(-n_nodes // 50_000)))
-    out = nodes.join(
-        ranks, join_type="inner", num_partitions=np_join,
-        on=("h",), right_on=("node",)).select_columns(["iri", "rank"])
+    ranks = pagerank(edges.ds.map_batches(
+        lambda t: pa.table({"src": t["ha"], "dst": t["hb"]}),
+        batch_format="pyarrow"), damping=damping, iters=iters)
+    ranks = ranks.map_batches(
+        lambda t: pa.table({"h": t["node"], "rank": t["rank"]}),
+        batch_format="pyarrow")
+    out = _solution_join(nodes, _compact(ranks, ("h", "rank")), "inner",
+                         ["h"], ("iri", "rank")).ds
     if top_k is not None:
         out = out.sort(["rank", "iri"], descending=[True, False]) \
                  .limit(top_k)
@@ -498,49 +491,52 @@ def _pd_expand_head(binding: pd.DataFrame, head) -> pd.DataFrame:
     return pd.concat(frames, ignore_index=True)
 
 
+_TYPING_COLS = ["object_kind", "object_lang", "object_datatype"]
+
+
+def _pd_norm(df: pd.DataFrame) -> pd.DataFrame:
+    """A driver-side triple frame with sentinel-filled typing nulls,
+    deduped."""
+    cols = list(_TRIPLE_COLS)
+    if df.empty and not set(cols) <= set(df.columns):
+        # a zero-BLOCK dataset to_pandas()-es to a column-less frame
+        # (the upstream filter emptied every block)
+        df = pd.DataFrame({c: pd.Series(dtype="object") for c in cols})
+    out = df[cols].copy()
+    for c in _TYPING_COLS:
+        out[c] = out[c].fillna(_PD_NULL)
+    return out.drop_duplicates()
+
+
+def _pd_minus(a: pd.DataFrame, b: pd.DataFrame) -> pd.DataFrame:
+    cols = list(_TRIPLE_COLS)
+    probe = a.merge(b[cols], on=cols, how="left", indicator=True)
+    return probe[probe["_merge"] == "left_only"][cols]
+
+
+def _pd_wrap(df: pd.DataFrame):
+    """A :func:`_pd_norm`-ed frame back as a triples Dataset."""
+    import ray.data
+
+    out = df.copy()
+    for c in _TYPING_COLS:
+        out[c] = out[c].where(out[c] != _PD_NULL, None)
+    return ray.data.from_arrow(pa.Table.from_pandas(
+        out, schema=_TRIPLES_SCHEMA, preserve_index=False))
+
+
 def _pd_forward_chain(facts: pd.DataFrame, rules: list[Rule],
                       max_rounds: int,
                       seed: pd.DataFrame | None) -> dict:
     """Driver-side semi-naive fixpoint — identical semantics to the
     distributed loop (incl. ``seed_delta`` incremental maintenance),
-    for graphs below the ``driver_rows`` gate."""
+    for graphs below the :data:`DRIVER_ROWS` gate."""
     cols = list(_TRIPLE_COLS)
-    typing = ["object_kind", "object_lang", "object_datatype"]
-
-    def norm(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty and not set(cols) <= set(df.columns):
-            # a zero-BLOCK dataset to_pandas()-es to a column-less
-            # frame (the upstream filter emptied every block)
-            df = pd.DataFrame({c: pd.Series(dtype="object")
-                               for c in cols})
-        out = df[cols].copy()
-        for c in typing:
-            out[c] = out[c].fillna(_PD_NULL)
-        return out.drop_duplicates()
-
-    def minus(a: pd.DataFrame, b: pd.DataFrame) -> pd.DataFrame:
-        probe = a.merge(b[cols], on=cols, how="left", indicator=True)
-        return probe[probe["_merge"] == "left_only"][cols]
-
-    def restore(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.copy()
-        for c in typing:
-            out[c] = out[c].where(out[c] != _PD_NULL, None)
-        return out
-
-    def wrap(df: pd.DataFrame):
-        import ray.data
-
-        if df.empty:
-            return ray.data.from_arrow(_TRIPLES_SCHEMA.empty_table())
-        return ray.data.from_arrow(pa.Table.from_pandas(
-            restore(df), schema=_TRIPLES_SCHEMA, preserve_index=False))
-
-    closure = norm(facts)
+    closure = _pd_norm(facts)
     seeded = seed is not None
     delta = closure
     if seeded:
-        delta = minus(norm(seed), closure)
+        delta = _pd_minus(_pd_norm(seed), closure)
         closure = pd.concat([closure, delta], ignore_index=True)
 
     derived_frames: list[pd.DataFrame] = []
@@ -560,7 +556,7 @@ def _pd_forward_chain(facts: pd.DataFrame, rules: list[Rule],
         if cands:
             cand = pd.concat(cands,
                              ignore_index=True).drop_duplicates(subset=cols)
-            new = minus(cand, closure)
+            new = _pd_minus(cand, closure)
         else:
             new = closure.iloc[0:0]
         if new.empty:
@@ -572,8 +568,8 @@ def _pd_forward_chain(facts: pd.DataFrame, rules: list[Rule],
 
     derived = (pd.concat(derived_frames, ignore_index=True)
                if derived_frames else closure.iloc[0:0])
-    return {"spill_dir": None, "closure": wrap(closure),
-            "derived": wrap(derived), "rounds": rounds,
+    return {"spill_dir": None, "closure": _pd_wrap(closure),
+            "derived": _pd_wrap(derived), "rounds": rounds,
             "n_derived": len(derived)}
 
 
@@ -581,8 +577,7 @@ def forward_chain(triples, rules: list[Rule], max_rounds: int = 12,
                   num_partitions: int | None = None,
                   spill_rows: int = 5_000_000,
                   spill_dir: str | None = None,
-                  seed_delta=None,
-                  driver_rows: int = 200_000) -> dict:
+                  seed_delta=None) -> dict:
     """Apply ``rules`` to a fixpoint (or ``max_rounds``).  Returns
     ``{"closure": Dataset, "derived": Dataset, "rounds": int,
     "n_derived": int, "spill_dir": str | None}`` — ``closure`` is
@@ -616,10 +611,11 @@ def forward_chain(triples, rules: list[Rule], max_rounds: int = 12,
     nothing closure-sized ever pins, the 100-TB path.  The returned
     datasets reference the spill files, so the CALLER owns the
     directory's lifetime.  At the other end of the scale, graphs whose
-    base + seed fit under ``driver_rows`` run the identical semi-naive
-    loop driver-side in pandas (:func:`_pd_forward_chain`,
-    distributed-equivalence-tested) — the distributed loop's fixed
-    per-round Ray-execution overhead dwarfs toy ontologies."""
+    base + seed fit under :data:`DRIVER_ROWS` (read at call time) run
+    the identical semi-naive loop driver-side in pandas
+    (:func:`_pd_forward_chain`, distributed-equivalence-tested) — the
+    distributed loop's fixed per-round Ray-execution overhead dwarfs
+    toy ontologies."""
     from cmc_knowledge_graph_text2ttl_ray.functions.cluster import (
         default_coarse_partitions,
     )
@@ -639,16 +635,14 @@ def forward_chain(triples, rules: list[Rule], max_rounds: int = 12,
     if seed_delta is not None:
         seed = _norm_triples(seed_delta).materialize()
         n_seed = seed.count()
-    if not spilling and n_full + n_seed <= driver_rows:
+    if not spilling and n_full + n_seed <= DRIVER_ROWS:
         # Graphs (and seeds) far below corpus scale: the distributed
         # loop pays rules × body-size sequential Ray executions per
         # round in fixed overhead; the pandas twin runs the identical
         # semi-naive semantics driver-side (repo-standard
         # threshold-gated small path, distributed-equivalence-tested).
-        # a Dataset whose blocks all emptied has no schema to convert
         return _pd_forward_chain(
-            full.to_pandas() if n_full else
-            _TRIPLES_SCHEMA.empty_table().to_pandas(), rules, max_rounds,
+            full.to_pandas(), rules, max_rounds,
             seed.to_pandas() if seed is not None else None)
     spill_base = None
     if spilling:
@@ -670,11 +664,9 @@ def forward_chain(triples, rules: list[Rule], max_rounds: int = 12,
     if seeded:
         seed_new = _new_vs_known(seed, full, num_partitions).materialize()
         if seed_new.count() == 0:
-            import ray.data
-
-            empty = ray.data.from_arrow(_TRIPLES_SCHEMA.empty_table())
             return {"spill_dir": spill_base, "closure": full,
-                    "derived": empty, "rounds": 0, "n_derived": 0}
+                    "derived": _empty_triples(), "rounds": 0,
+                    "n_derived": 0}
         if spilling:
             import os
 
@@ -743,9 +735,7 @@ def forward_chain(triples, rules: list[Rule], max_rounds: int = 12,
         if not spilling:
             derived = derived.materialize()
     else:
-        import ray.data
-
-        derived = ray.data.from_arrow(_TRIPLES_SCHEMA.empty_table())
+        derived = _empty_triples()
     return {"spill_dir": spill_base,
             "closure": full, "derived": derived,
             "rounds": rounds, "n_derived": n_derived}
@@ -804,100 +794,55 @@ def _prepare_base(triples, num_partitions, spill_rows: int,
     return base, n_base, num_partitions, spill_base
 
 
-def _pd_transitive_closure(pairs: pd.DataFrame,
-                           max_rounds: int) -> tuple[pd.DataFrame, int]:
-    """Driver-side semi-naive transitive closure of an ontology-sized
-    edge set (columns ``subject``/``object``); returns
-    ``(closure_pairs, rounds)``.  Right-linear (delta ⋈ base edges), so
-    it converges in diameter rounds."""
-    cols = ["subject", "object"]
-    base = pairs[cols].drop_duplicates().reset_index(drop=True)
-    closure, delta, rounds = base, base, 0
-    while rounds < max_rounds and len(delta):
-        step = delta.merge(base, left_on="object", right_on="subject",
-                           suffixes=("", "_r"))
-        if step.empty:
-            break
-        new = pd.DataFrame({"subject": step["subject"],
-                            "object": step["object_r"]}).drop_duplicates()
-        probe = new.merge(closure, on=cols, how="left", indicator=True)
-        delta = probe[probe["_merge"] == "left_only"][cols]
-        if delta.empty:
-            break
-        closure = pd.concat([closure, delta], ignore_index=True)
-        rounds += 1
-    return closure, rounds
+def _apply_pair_map(inst, pairs, key_col: str, build):
+    """Inner-join the triple Dataset ``inst`` on ``inst[key_col]`` to the
+    schema pairs ``pairs`` (``kg_query.Solutions`` over
+    ``(key_col, "_sup")``) and emit ``build(joined_frame)`` triples.
 
-
-def _apply_pair_map(inst, pairs, n_pairs: int, key_col: str, build,
-                    broadcast_threshold: int, num_partitions: int):
-    """Inner-join the triple Dataset ``inst`` to the schema pair set
-    ``pairs`` (a Dataset or a driver pandas frame with columns
-    ``subject``→``_sub``, ``object``→``_sup``) on
-    ``inst[key_col] == _sub`` and emit ``build(merged_df)`` triples.
-
-    Schema closures are ontology-sized, so the default path BROADCASTS
-    them (``ray.put`` once, a vectorized pandas merge per batch — the
-    instance side never re-partitions); past ``broadcast_threshold``
-    pairs it falls back to a distributed hash join at
-    ``num_partitions``."""
+    Schema closures are ontology-sized: up to
+    ``functions.cluster.BROADCAST_JOIN_ROWS`` pairs, one task concatenates
+    them and every ``inst`` batch probes that table inside ONE
+    ``map_batches`` — a streaming map, because above ``spill_rows``
+    ``inst`` is a streaming read that must not be pinned.  Past the gate
+    both sides go through
+    :func:`~cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query._solution_join`
+    and the output is pinned."""
     import ray
-    import ray.data
+
+    from cmc_knowledge_graph_text2ttl_ray.functions import cluster
+    from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import (
+        _compact,
+        _concat_task,
+        _probe,
+        _solution_join,
+    )
 
     cols = list(_TRIPLE_COLS)
-    if n_pairs == 0:
-        return ray.data.from_arrow(_TRIPLES_SCHEMA.empty_table())
+    joined_cols = cols + ["_sup"]
 
-    def emit(m: pd.DataFrame) -> pa.Table:
-        if m.empty:
-            return _TRIPLES_SCHEMA.empty_table()
-        return pa.Table.from_pandas(build(m), schema=_TRIPLES_SCHEMA,
+    def emit(t: pa.Table) -> pa.Table:
+        return pa.Table.from_pandas(build(t.to_pandas()),
+                                    schema=_TRIPLES_SCHEMA,
                                     preserve_index=False)
 
-    is_pd = isinstance(pairs, pd.DataFrame)
-    if n_pairs <= broadcast_threshold:
-        pmap = (pairs[["subject", "object"]] if is_pd
-                else pairs.to_pandas())
-        ref = ray.put(pmap.rename(
-            columns={"subject": "_sub", "object": "_sup"}))
+    if pairs.n == 0:
+        return _empty_triples()
+    if pairs.n <= cluster.BROADCAST_JOIN_ROWS:
+        table = _concat_task().remote(*pairs.blocks)
 
         def apply(t: pa.Table) -> pa.Table:
-            pmap = ray.get(ref)
-            df = t.select(cols).to_pandas()
-            return emit(df.merge(pmap, left_on=key_col, right_on="_sub",
-                                 how="inner"))
+            return emit(_probe(t, ray.get(table), [key_col], "inner",
+                               joined_cols))
 
         return inst.map_batches(apply, batch_format="pyarrow")
-
-    # Both sides are re-blocked first: Ray's hash-shuffle join
-    # broadcasts each side's schema from its first shuffled block only,
-    # and an empty block crashes pyarrow's join with "No match for key
-    # field" (see kg_query._reblock; no new scale cost class — the hash
-    # join pins both sides regardless).
-    from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import _reblock
-
-    left, n_left = _reblock(inst)
-    if n_left == 0:
-        return ray.data.from_arrow(_TRIPLES_SCHEMA.empty_table())
-    if is_pd:
-        pairs = ray.data.from_arrow(pa.table({
-            "subject": pa.array(pairs["subject"].astype(str), pa.string()),
-            "object": pa.array(pairs["object"].astype(str), pa.string()),
-        }))
-    right, _ = _reblock(pairs.map_batches(
-        lambda t: pa.table({"_sub": t["subject"].cast(pa.string()),
-                            "_sup": t["object"].cast(pa.string())}),
-        batch_format="pyarrow"))
-    joined = left.join(right, join_type="inner",
-                       num_partitions=num_partitions,
-                       on=(key_col,), right_on=("_sub",))
-    return joined.map_batches(
-        lambda t: emit(t.to_pandas()), batch_format="pyarrow")
+    left = _compact(inst, cols)
+    if left.n == 0:
+        return _empty_triples()
+    return _solution_join(left, pairs, "inner", [key_col],
+                          joined_cols).map(emit, cols).ds
 
 
 def rdfs_closure(triples, vocab: dict[str, str] | None = None,
-                 broadcast_threshold: int = 2_000_000,
-                 driver_schema_rows: int = 2_000_000,
                  num_partitions: int | None = None,
                  max_rounds: int = 32,
                  spill_rows: int = 5_000_000,
@@ -907,7 +852,7 @@ def rdfs_closure(triples, vocab: dict[str, str] | None = None,
     ``range`` / ``type``) and return
     ``{"closure", "derived", "n_derived", "rounds", "spill_dir"}``
     (same contract as :func:`forward_chain`; ``derived`` is deduped and
-    disjoint from the base).
+    disjoint from the base; ``rounds`` is the schema fixpoint's).
 
     Evaluation is STRATIFIED rather than a naive instance-level
     fixpoint — sound and complete for this fragment because instance
@@ -916,9 +861,10 @@ def rdfs_closure(triples, vocab: dict[str, str] | None = None,
 
     1. schema fixpoints: transitive closures of ``subClassOf`` (rdfs11)
        and ``subPropertyOf`` (rdfs5) — ONE filtered scan of the four
-       schema predicates, closed with driver pandas merges below
-       ``driver_schema_rows`` (ontologies are tiny next to the
-       instance corpus), semi-naive :func:`forward_chain` above it;
+       schema predicates, closed by ONE :func:`forward_chain` call with
+       one transitive rule per hierarchy (ontologies are tiny next to
+       the instance corpus, so below :data:`DRIVER_ROWS` that runs
+       driver-side in pandas);
     2. rdfs7 property inheritance: ONE join of the instance triples
        against the closed sub→super-property map, rewriting the
        predicate and PRESERVING the object's stored typing (a head
@@ -934,17 +880,22 @@ def rdfs_closure(triples, vocab: dict[str, str] | None = None,
     practice, they only add trivial triples.
 
     Scale shape: the instance corpus is touched by streaming joins
-    only — with ontology-sized schema closures each derivation step is
-    a broadcast ``map_batches`` (zero instance exchange); the final
-    dedup-and-subtract is the one ``hash(identity) % P`` exchange over
-    the derived set.  Past ``broadcast_threshold`` schema pairs the
-    steps become distributed hash joins, and each join's output is
-    SETTLED (pinned below ``spill_rows``, scratch parquet above)
-    before the next join is planned — every hash-shuffle join recruits
-    its own aggregator-actor pool, and stacking four of them into one
-    streaming topology oversubscribes small clusters.  ``vocab``
+    only — with ontology-sized schema closures (at most
+    ``functions.cluster.BROADCAST_JOIN_ROWS`` pairs per map) each
+    derivation step is a broadcast ``map_batches`` (zero instance
+    exchange; :func:`_apply_pair_map`); the final dedup-and-subtract is
+    the one ``hash(identity) % P`` exchange over the derived set.  Past
+    the gate a step is a
+    :func:`~cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query._solution_join`
+    join, whose pinned output spills to scratch parquet past
+    ``spill_rows`` before the next join is planned.  ``vocab``
     overrides the predicate IRIs (defaults ``rdf:type`` /
     ``rdfs:*``)."""
+    from cmc_knowledge_graph_text2ttl_ray.functions import cluster
+    from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import (
+        _pattern_scan,
+    )
+
     v = dict(_RDFS_VOCAB)
     if vocab:
         v.update(vocab)
@@ -952,93 +903,19 @@ def rdfs_closure(triples, vocab: dict[str, str] | None = None,
         triples, num_partitions, spill_rows, spill_dir)
 
     # --- schema closures (rdfs5 / rdfs11) ------------------------------
-    # Ontologies are tiny next to the instance corpus, so the default
-    # path pulls ONE filtered scan of the four schema predicates to the
-    # driver and closes them with pandas merges (the same
-    # threshold-gated driver-path convention as pagerank / the LR
-    # classifier); past ``driver_schema_rows`` it falls back to
-    # semi-naive :func:`forward_chain` per hierarchy.  Both paths are
-    # equivalence-tested.
-    import ray.data
-
     schema_preds = pa.array([v["subClassOf"], v["subPropertyOf"],
                              v["domain"], v["range"]], pa.string())
+    schema = forward_chain(
+        base.map_batches(
+            lambda t: t.filter(pc.is_in(t["predicate"],
+                                        value_set=schema_preds)),
+            batch_format="pyarrow"),
+        [_transitive(v["subClassOf"]), _transitive(v["subPropertyOf"])],
+        max_rounds=max_rounds)
 
-    def only_schema(t: pa.Table) -> pa.Table:
-        return t.filter(pc.is_in(t["predicate"], value_set=schema_preds))
-
-    schema_ds = base.map_batches(
-        only_schema, batch_format="pyarrow").materialize()
-    n_schema = schema_ds.count()
-
-    def pair_cols(closure_ds):
-        return closure_ds.select_columns(["subject", "object"]) \
-                         .materialize()
-
-    if n_schema <= driver_schema_rows:
-        # an empty Dataset drops its column schema through to_pandas()
-        sdf = (schema_ds.to_pandas() if n_schema
-               else pd.DataFrame(columns=list(_TRIPLE_COLS)))
-
-        def close(pred: str):
-            edges = sdf[sdf["predicate"] == pred]
-            closure, rnds = _pd_transitive_closure(edges, max_rounds)
-            probe = closure.merge(
-                edges[["subject", "object"]].drop_duplicates(),
-                on=["subject", "object"], how="left", indicator=True)
-            derived = probe[probe["_merge"] == "left_only"] \
-                [["subject", "object"]]
-            return closure, derived, rnds
-
-        sc_pairs, sc_new, r_sc = close(v["subClassOf"])
-        sp_pairs, sp_new, r_sp = close(v["subPropertyOf"])
-        n_sc, n_sp = len(sc_pairs), len(sp_pairs)
-        rounds = max(r_sc, r_sp)
-        dom_pairs = sdf[sdf["predicate"] == v["domain"]] \
-            [["subject", "object"]].drop_duplicates()
-        rng_pairs = sdf[sdf["predicate"] == v["range"]] \
-            [["subject", "object"]].drop_duplicates()
-        n_dom, n_rng = len(dom_pairs), len(rng_pairs)
-
-        def schema_triples(pairs_pd: pd.DataFrame, pred: str) -> pa.Table:
-            n = len(pairs_pd)
-            return pa.table({
-                "subject": pa.array(pairs_pd["subject"].astype(str),
-                                    pa.string()),
-                "predicate": pa.array([pred] * n, pa.string()),
-                "object": pa.array(pairs_pd["object"].astype(str),
-                                   pa.string()),
-                "object_kind": pa.array(["iri"] * n, pa.string()),
-                "object_lang": pa.nulls(n, pa.string()),
-                "object_datatype": pa.nulls(n, pa.string()),
-            }, schema=_TRIPLES_SCHEMA)
-
-        schema_derived = ray.data.from_arrow(pa.concat_tables([
-            schema_triples(sc_new, v["subClassOf"]),
-            schema_triples(sp_new, v["subPropertyOf"]),
-        ]))
-    else:
-        def schema_closure(pred: str) -> dict:
-            edges = schema_ds.filter(expr=f'predicate == "{pred}"')
-            return forward_chain(
-                edges,
-                [Rule([("?a", pred, "?b"), ("?b", pred, "?c")],
-                      [("?a", pred, "?c")], name=f"trans:{pred}")],
-                max_rounds=max_rounds)
-
-        sc_fc = schema_closure(v["subClassOf"])
-        sp_fc = schema_closure(v["subPropertyOf"])
-        sc_pairs = pair_cols(sc_fc["closure"])
-        sp_pairs = pair_cols(sp_fc["closure"])
-        n_sc, n_sp = sc_pairs.count(), sp_pairs.count()
-        rounds = max(sc_fc["rounds"], sp_fc["rounds"])
-        dom_pairs = pair_cols(schema_ds.filter(
-            expr=f'predicate == "{v["domain"]}"'))
-        rng_pairs = pair_cols(schema_ds.filter(
-            expr=f'predicate == "{v["range"]}"'))
-        n_dom, n_rng = dom_pairs.count(), rng_pairs.count()
-        schema_derived = _norm_triples(
-            sc_fc["derived"].union(sp_fc["derived"]))
+    def pairs(pred: str, key_col: str):
+        return _pattern_scan(schema["closure"], ("?k", pred, "?s"),
+                             rename={"k": key_col, "s": "_sup"})
 
     def build_sp(m: pd.DataFrame) -> pd.DataFrame:
         m = m.copy()
@@ -1059,69 +936,56 @@ def rdfs_closure(triples, vocab: dict[str, str] | None = None,
 
         return build
 
-    def settle(ds, n_pairs: int, name: str):
-        # Join-path outputs only (see the docstring's scale-shape note);
-        # broadcast-path outputs stay fully lazy.
+    def derive(ds, pred: str, key_col: str, build, name: str):
+        # hash-tier outputs are pinned; spill the large ones (see the
+        # docstring's scale-shape note)
         nonlocal spill_base
-        if n_pairs <= broadcast_threshold:
-            return ds
-        ds = ds.materialize()
-        if ds.count() > spill_rows:
-            import os
+        pmap = pairs(pred, key_col)
+        out = _apply_pair_map(ds, pmap, key_col, build)
+        if pmap.n <= cluster.BROADCAST_JOIN_ROWS or \
+                out.count() <= spill_rows:
+            return out
+        import os
 
-            from cmc_knowledge_graph_text2ttl_ray.functions.checkpoint import (
-                scratch_dir,
-                spill_roundtrip,
-            )
+        from cmc_knowledge_graph_text2ttl_ray.functions.checkpoint import (
+            scratch_dir,
+            spill_roundtrip,
+        )
 
-            if spill_base is None:
-                spill_base = spill_dir or scratch_dir("graft_rdfs_")
-            return spill_roundtrip(ds, os.path.join(spill_base, name),
-                                   _TRIPLES_SCHEMA)
-        return ds
+        if spill_base is None:
+            spill_base = spill_dir or scratch_dir("graft_rdfs_")
+        return spill_roundtrip(out, os.path.join(spill_base, name),
+                               _TRIPLES_SCHEMA)
 
     # rdfs7: predicate rewrite preserving object typing
-    derived_sp = settle(
-        _apply_pair_map(base, sp_pairs, n_sp, "predicate", build_sp,
-                        broadcast_threshold, num_partitions),
-        n_sp, "sp")
+    derived_sp = derive(base, v["subPropertyOf"], "predicate", build_sp,
+                        "sp")
     inst = base.union(derived_sp)
 
     # rdfs2 / rdfs3 over base ∪ rewritten triples
-    dom_types = settle(
-        _apply_pair_map(inst, dom_pairs, n_dom, "predicate",
-                        build_typed("subject"), broadcast_threshold,
-                        num_partitions),
-        n_dom, "dom")
+    dom_types = derive(inst, v["domain"], "predicate",
+                       build_typed("subject"), "dom")
 
     def iri_objects(t: pa.Table) -> pa.Table:
-        return t.filter(pc.fill_null(
-            pc.equal(t["object_kind"], "iri"), False))
+        return t.filter(pc.equal(t["object_kind"], "iri"))
 
-    rng_types = settle(
-        _apply_pair_map(
-            inst.map_batches(iri_objects, batch_format="pyarrow"),
-            rng_pairs, n_rng, "predicate", build_typed("object"),
-            broadcast_threshold, num_partitions),
-        n_rng, "rng")
+    rng_types = derive(inst.map_batches(iri_objects, batch_format="pyarrow"),
+                       v["range"], "predicate", build_typed("object"), "rng")
 
     # rdfs9: supertype join over every type triple derived so far
     all_types = inst.filter(expr=f'predicate == "{v["type"]}"') \
                     .union(dom_types).union(rng_types)
-    sup_types = settle(
-        _apply_pair_map(all_types, sc_pairs, n_sc, "object",
-                        build_typed("subject"), broadcast_threshold,
-                        num_partitions),
-        n_sc, "sup")
+    sup_types = derive(all_types, v["subClassOf"], "object",
+                       build_typed("subject"), "sup")
 
-    candidates = (schema_derived
+    candidates = (schema["derived"]
                   .union(derived_sp).union(dom_types)
                   .union(rng_types).union(sup_types))
     new = _new_vs_known(candidates, base, num_partitions).materialize()
     n_derived = new.count()
     return {"closure": base.union(new), "derived": new,
             "n_derived": n_derived,
-            "rounds": rounds,
+            "rounds": schema["rounds"],
             "spill_dir": spill_base}
 
 
@@ -1141,8 +1005,7 @@ def owl_lite_closure(triples, vocab: dict[str, str] | None = None,
                      num_partitions: int | None = None,
                      max_rounds: int = 32,
                      spill_rows: int = 5_000_000,
-                     spill_dir: str | None = None,
-                     driver_edge_rows: int = 2_000_000) -> dict:
+                     spill_dir: str | None = None) -> dict:
     """Materialize the property-semantics entailment of ``triples`` for
     the OWL 2 RL fragment ``owl:inverseOf`` / ``owl:SymmetricProperty``
     / ``owl:TransitiveProperty`` (rules prp-inv1/2, prp-symp, prp-trp).
@@ -1177,14 +1040,12 @@ def owl_lite_closure(triples, vocab: dict[str, str] | None = None,
     regime where it approaches corpus scale.  Instance data only ever
     streams: the swap passes are stateless ``map_batches``, the
     transitive fixpoint inherits :func:`forward_chain`'s spill
-    behavior, and the final dedup-and-subtract is the one
-    ``hash(identity) % P`` exchange.  Transitive edge sets at or below
-    ``driver_edge_rows`` (the declared-transitive-predicate SUBSET of
-    the corpus, usually orders of magnitude smaller) close per
-    predicate with driver-side semi-naive pandas instead of the
-    distributed fixpoint — equivalence-tested against it."""
+    behavior (a transitive edge set at or below :data:`DRIVER_ROWS` —
+    the declared-transitive-predicate SUBSET of the corpus, usually
+    orders of magnitude smaller — closes driver-side in pandas), and
+    the final dedup-and-subtract is the one ``hash(identity) % P``
+    exchange."""
     import ray
-    import ray.data
 
     v = dict(_OWL_VOCAB)
     if vocab:
@@ -1193,7 +1054,7 @@ def owl_lite_closure(triples, vocab: dict[str, str] | None = None,
         triples, num_partitions, spill_rows, spill_dir,
         prefix="graft_owl_")
     cols = list(_TRIPLE_COLS)
-    empty = ray.data.from_arrow(_TRIPLES_SCHEMA.empty_table())
+    empty = _empty_triples()
 
     schema_preds = pa.array([v["inverseOf"], v["type"]], pa.string())
     schema_ds = base.map_batches(
@@ -1229,11 +1090,9 @@ def owl_lite_closure(triples, vocab: dict[str, str] | None = None,
 
         def apply(t: pa.Table) -> pa.Table:
             df = t.select(cols).to_pandas()
-            ok = df["object_kind"].isna() | (df["object_kind"] == "iri")
-            m = df[ok].merge(ray.get(swap_ref), left_on="predicate",
-                             right_on="_p", how="inner")
-            if m.empty:
-                return _TRIPLES_SCHEMA.empty_table()
+            m = df[df["object_kind"] == "iri"].merge(
+                ray.get(swap_ref), left_on="predicate", right_on="_p",
+                how="inner")
             n = len(m)
             out = pd.DataFrame({
                 "subject": m["object"].astype(str).to_numpy(),
@@ -1255,49 +1114,15 @@ def owl_lite_closure(triples, vocab: dict[str, str] | None = None,
     derived_trans = empty
     if trans:
         tp = pa.array(trans, pa.string())
-        edges = inst.map_batches(
-            lambda t: t.filter(pc.is_in(t["predicate"], value_set=tp)),
-            batch_format="pyarrow").materialize()
-        n_edges = edges.count()
-        if n_edges <= driver_edge_rows:
-            # Transitive edge sets far below corpus scale: the generic
-            # distributed forward_chain pays ~a dozen sequential Ray
-            # executions per round in fixed overhead; per-predicate
-            # semi-naive pandas closure on the driver is the repo's
-            # standard threshold-gated small path
-            # (distributed-path-equivalence-tested).
-            edf = edges.to_pandas()
-            frames = []
-            for p in trans:
-                sub = edf.loc[edf["predicate"] == p,
-                              ["subject", "object"]]
-                if sub.empty:
-                    continue
-                closed, r = _pd_transitive_closure(sub, max_rounds)
-                rounds = max(rounds, r)
-                n = len(closed)
-                frames.append(pd.DataFrame({
-                    "subject": closed["subject"].to_numpy(),
-                    "predicate": np.repeat(p, n),
-                    "object": closed["object"].to_numpy(),
-                    "object_kind": np.repeat("iri", n),
-                    "object_lang": pd.Series([None] * n, dtype=object),
-                    "object_datatype": pd.Series([None] * n,
-                                                 dtype=object),
-                }))
-            if frames:
-                derived_trans = ray.data.from_arrow(pa.Table.from_pandas(
-                    pd.concat(frames, ignore_index=True),
-                    schema=_TRIPLES_SCHEMA, preserve_index=False))
-        else:
-            fc = forward_chain(
-                edges,
-                [Rule([("?a", p, "?b"), ("?b", p, "?c")],
-                      [("?a", p, "?c")], name=f"trans:{p}") for p in trans],
-                max_rounds=max_rounds, num_partitions=num_partitions,
-                spill_rows=spill_rows)
-            derived_trans = fc["derived"]
-            rounds = fc["rounds"]
+        fc = forward_chain(
+            inst.map_batches(
+                lambda t: t.filter(pc.is_in(t["predicate"], value_set=tp)),
+                batch_format="pyarrow"),
+            [_transitive(p) for p in trans],
+            max_rounds=max_rounds, num_partitions=num_partitions,
+            spill_rows=spill_rows)
+        derived_trans = fc["derived"]
+        rounds = fc["rounds"]
 
     candidates = derived_swap.union(derived_trans) \
                              .union(swapped(derived_trans))
@@ -1364,9 +1189,6 @@ def sameas_from_functional(triples, vocab: dict[str, str] | None = None,
     vectorized; a second coarse exchange on the pair identity dedups
     globally.  Nothing corpus-sized is pinned (shares
     :func:`_prepare_base`'s coalesce/spill intake)."""
-    import ray
-    import ray.data
-
     from cmc_knowledge_graph_text2ttl_ray.functions.cluster import (
         coarse_group_reduce,
     )
@@ -1390,8 +1212,8 @@ def sameas_from_functional(triples, vocab: dict[str, str] | None = None,
     ifp = sorted(set(
         sdf.loc[sdf["object"] == v["inverseFunctional"], "subject"]))
 
-    empty_pairs = ray.data.from_arrow(_TRIPLES_SCHEMA.empty_table())
-    out: dict = {"pairs": empty_pairs, "n_pairs": 0, "spill_dir": spill_base}
+    out: dict = {"pairs": _empty_triples(), "n_pairs": 0,
+                 "spill_dir": spill_base}
     if fp or ifp:
         fp_set, ifp_set = set(fp), set(ifp)
 
@@ -1492,15 +1314,14 @@ def owl_equivalence_closure(triples, vocab: dict[str, str] | None = None,
     deduped and disjoint from the base.
 
     Scale shape: equivalence declarations relate class/property NAMES —
-    schema-sized by construction — so their symmetric-transitive
-    closure runs driver-side (:func:`_pd_transitive_closure` over the
-    mirrored pair set, the same treatment :func:`rdfs_closure` gives
-    ontology hierarchies); instance data only ever streams through the
-    composed ``rdfs_closure`` (broadcast schema, stateless
-    ``map_batches``, one final dedup-and-subtract exchange)."""
-    import ray
-    import ray.data
-
+    schema-sized by construction.  Their symmetric-transitive closure is
+    ONE :func:`forward_chain` call, one transitive rule per equivalence
+    predicate over the declared pairs and their mirrors (driver-side
+    pandas below :data:`DRIVER_ROWS`, the same treatment
+    :func:`rdfs_closure` gives ontology hierarchies); instance data only
+    ever streams through the composed ``rdfs_closure`` (broadcast
+    schema, stateless ``map_batches``, one final dedup-and-subtract
+    exchange)."""
     v = dict(_EQ_VOCAB)
     if vocab:
         v.update(vocab)
@@ -1508,51 +1329,34 @@ def owl_equivalence_closure(triples, vocab: dict[str, str] | None = None,
         triples, num_partitions, spill_rows, spill_dir,
         prefix="graft_eq_")
 
-    eq_preds = pa.array([v["equivalentClass"], v["equivalentProperty"]],
-                        pa.string())
-    schema_ds = base.map_batches(
-        lambda t: t.filter(pc.is_in(t["predicate"], value_set=eq_preds)),
-        batch_format="pyarrow").materialize()
-    sdf = (schema_ds.to_pandas() if schema_ds.count()
-           else pd.DataFrame(columns=list(_TRIPLE_COLS)))
+    eq_class, eq_prop = v["equivalentClass"], v["equivalentProperty"]
+    eq_preds = pa.array([eq_class, eq_prop], pa.string())
 
-    rounds = 0
-    frames: list[pd.DataFrame] = []
-    for eq_pred, sub_pred in ((v["equivalentClass"], v["subClassOf"]),
-                              (v["equivalentProperty"], v["subPropertyOf"])):
-        pairs = sdf.loc[sdf["predicate"] == eq_pred, ["subject", "object"]]
-        if pairs.empty:
-            continue
-        mirrored = pd.concat([
-            pairs,
-            pairs.rename(columns={"subject": "object",
-                                  "object": "subject"}),
-        ], ignore_index=True)
-        closed, r = _pd_transitive_closure(mirrored, max_rounds)
-        rounds = max(rounds, r)
-        for pred in (eq_pred, sub_pred):
-            n = len(closed)
-            frames.append(pd.DataFrame({
-                "subject": closed["subject"].to_numpy(),
-                "predicate": np.repeat(pred, n),
-                "object": closed["object"].to_numpy(),
-                "object_kind": np.repeat("iri", n),
-                "object_lang": pd.Series([None] * n, dtype=object),
-                "object_datatype": pd.Series([None] * n, dtype=object),
-            }))
+    def mirrored(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.is_in(t["predicate"], value_set=eq_preds))
+        s, p, o = (t[c].chunks for c in ("subject", "predicate", "object"))
+        return pa.table({"subject": pa.chunked_array(s + o, pa.string()),
+                         "predicate": pa.chunked_array(p + p, pa.string()),
+                         "object": pa.chunked_array(o + s, pa.string())})
 
-    if not frames:
-        empty = ray.data.from_arrow(_TRIPLES_SCHEMA.empty_table())
-        return {"closure": base, "derived": empty, "n_derived": 0,
-                "rounds": 0, "spill_dir": spill_base}
+    eq = forward_chain(base.map_batches(mirrored, batch_format="pyarrow"),
+                       [_transitive(eq_class), _transitive(eq_prop)],
+                       max_rounds=max_rounds, num_partitions=num_partitions,
+                       spill_rows=spill_rows)
+    if eq["closure"].count() == 0:
+        return {"closure": base, "derived": _empty_triples(),
+                "n_derived": 0, "rounds": 0, "spill_dir": spill_base}
 
-    expansion = ray.data.from_arrow(pa.Table.from_pandas(
-        pd.concat(frames, ignore_index=True),
-        schema=_TRIPLES_SCHEMA, preserve_index=False))
+    def with_sub(t: pa.Table) -> pa.Table:
+        sub = pc.if_else(pc.equal(t["predicate"], eq_class),
+                         v["subClassOf"], v["subPropertyOf"])
+        return pa.concat_tables([t, t.set_column(1, "predicate", sub)])
+
+    expansion = eq["closure"].map_batches(with_sub, batch_format="pyarrow")
     sub = rdfs_closure(base.union(expansion),
                        num_partitions=num_partitions,
                        max_rounds=max_rounds, spill_rows=spill_rows)
-    rounds = max(rounds, sub["rounds"])
+    rounds = max(eq["rounds"], sub["rounds"])
 
     candidates = expansion.union(sub["derived"])
     new = _new_vs_known(candidates, base, num_partitions).materialize()
@@ -1566,76 +1370,21 @@ def owl_equivalence_closure(triples, vocab: dict[str, str] | None = None,
 # DRed deletion with rederivation (incremental maintenance under retraction)
 # ---------------------------------------------------------------------------
 
-def _in_known(candidates, known, num_partitions: int):
-    """Semi-join ``candidates ∩ known`` on full triple identity (the
-    intersection twin of :func:`_new_vs_known`; same one-exchange
-    shape)."""
-    cols = list(_TRIPLE_COLS)
-
-    def tag(side: int):
-        def pre(t: pa.Table) -> pd.DataFrame:
-            df = t.select(cols).to_pandas().drop_duplicates(subset=cols)
-            df["side"] = np.int64(side)
-            h = pd.util.hash_pandas_object(df[cols], index=False) \
-                .to_numpy(np.uint64)
-            df["part"] = (h % np.uint64(num_partitions)).astype("int64")
-            return df
-
-        return pre
-
-    both = known.map_batches(tag(0), batch_format="pyarrow").union(
-        candidates.map_batches(tag(1), batch_format="pyarrow"))
-
-    def keep_present(g: pd.DataFrame) -> pa.Table:
-        g = g.drop_duplicates(subset=cols + ["side"])
-        grp = g.groupby(cols, dropna=False, sort=False)["side"]
-        present = grp.transform("min") == 0
-        keep = g[present & (g["side"] == 1)]
-        if keep.empty:
-            return _TRIPLES_SCHEMA.empty_table()
-        return pa.Table.from_pandas(keep[cols], schema=_TRIPLES_SCHEMA,
-                                    preserve_index=False)
-
-    return (both.groupby("part")
-            .map_groups(keep_present, batch_format="pandas"))
-
-
 def _pd_dred(closure_df: pd.DataFrame, base_df: pd.DataFrame,
              deletions_df: pd.DataFrame, rules: list[Rule],
              max_rounds: int) -> dict:
     """Driver-side DRed, identical semantics to the distributed path."""
     cols = list(_TRIPLE_COLS)
-    typing = ["object_kind", "object_lang", "object_datatype"]
-
-    def norm(df):
-        out = df[cols].copy()
-        for c in typing:
-            out[c] = out[c].fillna(_PD_NULL)
-        return out.drop_duplicates()
-
-    def minus(a, b):
-        probe = a.merge(b[cols], on=cols, how="left", indicator=True)
-        return probe[probe["_merge"] == "left_only"][cols]
 
     def inter(a, b):
         return a.merge(b[cols].drop_duplicates(), on=cols, how="inner")
 
-    def wrap(df):
-        import ray.data
-
-        if df.empty:
-            return ray.data.from_arrow(_TRIPLES_SCHEMA.empty_table())
-        out = df.copy()
-        for c in typing:
-            out[c] = out[c].where(out[c] != _PD_NULL, None)
-        return ray.data.from_arrow(pa.Table.from_pandas(
-            out, schema=_TRIPLES_SCHEMA, preserve_index=False))
-
-    full = norm(closure_df)
-    base = norm(base_df)
-    dels = inter(norm(deletions_df), full)
+    full = _pd_norm(closure_df)
+    base = _pd_norm(base_df)
+    dels = inter(_pd_norm(deletions_df), full)
     if dels.empty:
-        return {"closure": wrap(full), "removed": wrap(full.iloc[0:0]),
+        return {"closure": _pd_wrap(full),
+                "removed": _pd_wrap(full.iloc[0:0]),
                 "n_removed": 0, "rounds_over": 0, "rounds_red": 0}
 
     # --- overdeletion: semi-naive from the deleted facts ---------------
@@ -1654,7 +1403,7 @@ def _pd_dred(closure_df: pd.DataFrame, base_df: pd.DataFrame,
         if cands:
             cand = pd.concat(cands,
                              ignore_index=True).drop_duplicates(subset=cols)
-            new = minus(inter(cand, full), over)
+            new = _pd_minus(inter(cand, full), over)
         else:
             new = full.iloc[0:0]
         if new.empty:
@@ -1663,12 +1412,12 @@ def _pd_dred(closure_df: pd.DataFrame, base_df: pd.DataFrame,
         over = pd.concat([over, new], ignore_index=True)
         delta = new
 
-    keep = minus(full, over)
+    keep = _pd_minus(full, over)
     # --- rederivation: head bound to the candidate set -----------------
-    cand_set = minus(over, dels)
-    readd = inter(cand_set, minus(base, dels))  # EDB survivors
+    cand_set = _pd_minus(over, dels)
+    readd = inter(cand_set, _pd_minus(base, dels))  # EDB survivors
     keep = pd.concat([keep, readd], ignore_index=True)
-    cand_set = minus(cand_set, readd)
+    cand_set = _pd_minus(cand_set, readd)
     delta = readd
     rounds_red = 0
     first = True
@@ -1705,13 +1454,13 @@ def _pd_dred(closure_df: pd.DataFrame, base_df: pd.DataFrame,
         if new.empty:
             break
         keep = pd.concat([keep, new], ignore_index=True)
-        cand_set = minus(cand_set, new)
+        cand_set = _pd_minus(cand_set, new)
         delta = new
         first = False
         rounds_red += 1
 
-    removed = minus(full, keep)
-    return {"closure": wrap(keep), "removed": wrap(removed),
+    removed = _pd_minus(full, keep)
+    return {"closure": _pd_wrap(keep), "removed": _pd_wrap(removed),
             "n_removed": len(removed), "rounds_over": rounds_over,
             "rounds_red": rounds_red}
 
@@ -1722,8 +1471,7 @@ def _pd_pattern_vars_exist(pattern) -> bool:
 
 def dred_delete(closure, rules: list[Rule], deletions, base,
                 num_partitions: int | None = None,
-                max_rounds: int = 12,
-                driver_rows: int = 200_000) -> dict:
+                max_rounds: int = 12) -> dict:
     """Retract ``deletions`` (base facts) from an already-materialized
     ``closure`` under ``rules`` using **DRed**
     (delete-and-rederive, Gupta/Mumick/Subrahmanian): the counterpart
@@ -1755,8 +1503,8 @@ def dred_delete(closure, rules: list[Rule], deletions, base,
     "rounds_red"}`` with ``removed`` = old closure − new closure
     (includes the deletions themselves).
 
-    Below ``driver_rows`` closure facts the identical algorithm runs
-    driver-side in pandas (:func:`_pd_dred`,
+    Up to :data:`DRIVER_ROWS` closure facts (read at call time) the
+    identical algorithm runs driver-side in pandas (:func:`_pd_dred`,
     distributed-equivalence-tested)."""
     import ray.data
 
@@ -1774,15 +1522,15 @@ def dred_delete(closure, rules: list[Rule], deletions, base,
     base_n = _norm_triples(base).materialize()
     dels_n = _norm_triples(deletions).materialize()
 
-    if n_full <= driver_rows:
+    if n_full <= DRIVER_ROWS:
         return _pd_dred(full.to_pandas(), base_n.to_pandas(),
                         dels_n.to_pandas(), rules, max_rounds)
 
-    empty = ray.data.from_arrow(_TRIPLES_SCHEMA.empty_table())
-    dels = _in_known(dels_n, full, num_partitions).materialize()
+    dels = _new_vs_known(dels_n, full, num_partitions,
+                         keep_known=True).materialize()
     if dels.count() == 0:
-        return {"closure": full, "removed": empty, "n_removed": 0,
-                "rounds_over": 0, "rounds_red": 0}
+        return {"closure": full, "removed": _empty_triples(),
+                "n_removed": 0, "rounds_over": 0, "rounds_red": 0}
 
     # --- overdeletion ---------------------------------------------------
     over = dels
@@ -1801,7 +1549,7 @@ def dred_delete(closure, rules: list[Rule], deletions, base,
         cand = cand_parts[0]
         for extra in cand_parts[1:]:
             cand = cand.union(extra)
-        hit = _in_known(cand, full, num_partitions)
+        hit = _new_vs_known(cand, full, num_partitions, keep_known=True)
         new = _new_vs_known(hit, over, num_partitions).materialize()
         if new.count() == 0:
             rounds_over -= 1
@@ -1813,8 +1561,8 @@ def dred_delete(closure, rules: list[Rule], deletions, base,
     # --- rederivation ----------------------------------------------------
     cand_set = _new_vs_known(over, dels, num_partitions).materialize()
     surviving_base = _new_vs_known(base_n, dels, num_partitions)
-    readd = _in_known(cand_set, surviving_base,
-                      num_partitions).materialize()
+    readd = _new_vs_known(cand_set, surviving_base, num_partitions,
+                          keep_known=True).materialize()
     if readd.count():
         keep = keep.union(readd).materialize()
         cand_set = _new_vs_known(cand_set, readd,
@@ -1860,7 +1608,8 @@ def dred_delete(closure, rules: list[Rule], deletions, base,
         cand = cand_parts[0]
         for extra in cand_parts[1:]:
             cand = cand.union(extra)
-        new = _in_known(cand, cand_set, num_partitions).materialize()
+        new = _new_vs_known(cand, cand_set, num_partitions,
+                            keep_known=True).materialize()
         if new.count() == 0:
             break
         keep = keep.union(new).materialize()

@@ -773,6 +773,33 @@ def event_triples(sf_dir: str):
     return ds.map_batches(enc, batch_format="pyarrow")
 
 
+def _iri(prefix: str, col) -> pa.ChunkedArray:
+    """Demo-encoding IRIs: ``prefix`` + each value of ``col``."""
+    return pc.binary_join_element_wise(prefix, pc.cast(col, pa.string()), "")
+
+
+def _tbl(subject, predicate: str, obj, kind: str = "iri") -> pa.Table:
+    """Demo-encoding triples with one predicate and one object kind."""
+    n = len(subject)
+    return pa.table({
+        "subject": subject,
+        "predicate": pa.array([predicate] * n, pa.string()),
+        "object": obj,
+        "object_kind": pa.array([kind] * n, pa.string()),
+    })
+
+
+def _const_triples(rows):
+    """Constant ``(s, p, o)`` or ``(s, p, o, kind)`` rows (kind defaults
+    to ``iri``) as a Dataset."""
+    import ray.data
+
+    cols = zip(*[(*r, "iri")[:4] for r in rows])
+    return ray.data.from_arrow(pa.table(
+        {name: pa.array(c, pa.string()) for name, c in zip(
+            ("subject", "predicate", "object", "object_kind"), cols)}))
+
+
 def order_triples(sf_dir: str):
     """Deterministic triple encoding of the orders→customer→nation chain:
     ``(order:<o>, placed_by, cust:<c>)`` ∪ ``(cust:<c>, in_nation,
@@ -782,47 +809,24 @@ def order_triples(sf_dir: str):
     Reads are metadata-sized (sized_read_parquet): the three-branch union
     otherwise inherits Ray's ~2×CPU blocks PER read and every downstream
     all-to-all pays per-block scheduling for hundreds of tiny tasks."""
-    from cmc_knowledge_graph_text2ttl_ray.functions.cluster import (
-        sized_read_parquet,
-    )
-
-    orders = sized_read_parquet(
+    orders = _sized_read(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"])
-    cust = sized_read_parquet(
+    cust = _sized_read(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"])
-    nation = sized_read_parquet(
+    nation = _sized_read(
         f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"])
 
-    def _iri(prefix: str, col: pa.ChunkedArray) -> pa.ChunkedArray:
-        return pc.binary_join_element_wise(
-            prefix, pc.cast(col, pa.string()), "")
-
     def enc_orders(t: pa.Table) -> pa.Table:
-        n = len(t)
-        return pa.table({
-            "subject": _iri("order:", t["o_orderkey"]),
-            "predicate": pa.array(["placed_by"] * n, pa.string()),
-            "object": _iri("cust:", t["o_custkey"]),
-            "object_kind": pa.array(["iri"] * n, pa.string()),
-        })
+        return _tbl(_iri("order:", t["o_orderkey"]), "placed_by",
+                    _iri("cust:", t["o_custkey"]))
 
     def enc_cust(t: pa.Table) -> pa.Table:
-        n = len(t)
-        return pa.table({
-            "subject": _iri("cust:", t["c_custkey"]),
-            "predicate": pa.array(["in_nation"] * n, pa.string()),
-            "object": _iri("nation:", t["c_nationkey"]),
-            "object_kind": pa.array(["iri"] * n, pa.string()),
-        })
+        return _tbl(_iri("cust:", t["c_custkey"]), "in_nation",
+                    _iri("nation:", t["c_nationkey"]))
 
     def enc_nation(t: pa.Table) -> pa.Table:
-        n = len(t)
-        return pa.table({
-            "subject": _iri("nation:", t["n_nationkey"]),
-            "predicate": pa.array(["has_name"] * n, pa.string()),
-            "object": pc.cast(t["n_name"], pa.string()),
-            "object_kind": pa.array(["literal"] * n, pa.string()),
-        })
+        return _tbl(_iri("nation:", t["n_nationkey"]), "has_name",
+                    pc.cast(t["n_name"], pa.string()), "literal")
 
     return (orders.map_batches(enc_orders, batch_format="pyarrow")
             .union(cust.map_batches(enc_cust, batch_format="pyarrow"))
@@ -843,8 +847,6 @@ def rdfs_demo_triples(sf_dir: str):
     ``(cust:<c>, has_name, <c_name>)``.  Every ρDF entailment over
     this encoding has a closed plain-join SQL form — see
     ``oracle_sql()['kg_rdfs_closure']``."""
-    import ray.data
-
     orders = _sized_read(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"])
     cust = _sized_read(
@@ -856,41 +858,28 @@ def rdfs_demo_triples(sf_dir: str):
     region = _sized_read(
         f"{sf_dir}/region.parquet", columns=["r_regionkey"])
 
-    def _iri(prefix: str, col: pa.ChunkedArray) -> pa.ChunkedArray:
-        return pc.binary_join_element_wise(
-            prefix, pc.cast(col, pa.string()), "")
-
-    def tbl(subject, predicate, obj, kind):
-        n = len(subject)
-        return pa.table({
-            "subject": subject,
-            "predicate": pa.array([predicate] * n, pa.string()),
-            "object": obj,
-            "object_kind": pa.array([kind] * n, pa.string()),
-        })
-
     def enc_orders(t: pa.Table) -> pa.Table:
-        return tbl(_iri("order:", t["o_orderkey"]), "placed_by",
-                   _iri("cust:", t["o_custkey"]), "iri")
+        return _tbl(_iri("order:", t["o_orderkey"]), "placed_by",
+                    _iri("cust:", t["o_custkey"]))
 
     def enc_cust(t: pa.Table) -> pa.Table:
         return pa.concat_tables([
-            tbl(_iri("cust:", t["c_custkey"]), "rdf:type",
-                _iri("nation:", t["c_nationkey"]), "iri"),
-            tbl(_iri("cust:", t["c_custkey"]), "has_name",
-                pc.cast(t["c_name"], pa.string()), "literal"),
+            _tbl(_iri("cust:", t["c_custkey"]), "rdf:type",
+                 _iri("nation:", t["c_nationkey"])),
+            _tbl(_iri("cust:", t["c_custkey"]), "has_name",
+                 pc.cast(t["c_name"], pa.string()), "literal"),
         ])
 
     def enc_nation(t: pa.Table) -> pa.Table:
-        return tbl(_iri("nation:", t["n_nationkey"]), "rdfs:subClassOf",
-                   _iri("region:", t["n_regionkey"]), "iri")
+        return _tbl(_iri("nation:", t["n_nationkey"]), "rdfs:subClassOf",
+                    _iri("region:", t["n_regionkey"]))
 
     def enc_region(t: pa.Table) -> pa.Table:
         n = len(t)
-        return tbl(_iri("region:", t["r_regionkey"]), "rdfs:subClassOf",
-                   pa.array(["class:world"] * n, pa.string()), "iri")
+        return _tbl(_iri("region:", t["r_regionkey"]), "rdfs:subClassOf",
+                    pa.array(["class:world"] * n, pa.string()))
 
-    onto = [
+    onto = _const_triples([
         ("class:Order", "rdfs:subClassOf", "class:Thing"),
         ("class:Customer", "rdfs:subClassOf", "class:Agent"),
         ("placed_by", "rdfs:subPropertyOf", "involves"),
@@ -899,19 +888,13 @@ def rdfs_demo_triples(sf_dir: str):
         ("placed_by", "rdfs:range", "class:Customer"),
         ("has_name", "rdfs:subPropertyOf", "labeled"),
         ("has_name", "rdfs:range", "class:Label"),
-    ]
-    onto_tbl = pa.table({
-        "subject": pa.array([s for s, _, _ in onto], pa.string()),
-        "predicate": pa.array([p for _, p, _ in onto], pa.string()),
-        "object": pa.array([o for _, _, o in onto], pa.string()),
-        "object_kind": pa.array(["iri"] * len(onto), pa.string()),
-    })
+    ])
 
     return (orders.map_batches(enc_orders, batch_format="pyarrow")
             .union(cust.map_batches(enc_cust, batch_format="pyarrow"))
             .union(nation.map_batches(enc_nation, batch_format="pyarrow"))
             .union(region.map_batches(enc_region, batch_format="pyarrow"))
-            .union(ray.data.from_arrow(onto_tbl)))
+            .union(onto))
 
 
 def owl_demo_triples(sf_dir: str):
@@ -933,7 +916,6 @@ def owl_demo_triples(sf_dir: str):
 
     Every entailment has a closed SQL form — see
     ``oracle_sql()['kg_owl_closure']``."""
-    import ray.data
     import pyarrow.parquet as pq
 
     cust = _sized_read(
@@ -941,26 +923,13 @@ def owl_demo_triples(sf_dir: str):
     supp = _sized_read(
         f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"])
 
-    def _iri(prefix: str, col: pa.ChunkedArray) -> pa.ChunkedArray:
-        return pc.binary_join_element_wise(
-            prefix, pc.cast(col, pa.string()), "")
-
-    def tbl(subject, predicate, obj, kind="iri"):
-        n = len(subject)
-        return pa.table({
-            "subject": subject,
-            "predicate": pa.array([predicate] * n, pa.string()),
-            "object": obj,
-            "object_kind": pa.array([kind] * n, pa.string()),
-        })
-
     def enc_cust(t: pa.Table) -> pa.Table:
-        return tbl(_iri("cust:", t["c_custkey"]), "within",
-                   _iri("nation:", t["c_nationkey"]))
+        return _tbl(_iri("cust:", t["c_custkey"]), "within",
+                    _iri("nation:", t["c_nationkey"]))
 
     def enc_supp(t: pa.Table) -> pa.Table:
-        return tbl(_iri("supp:", t["s_suppkey"]), "ships_to",
-                   _iri("nation:", t["s_nationkey"]))
+        return _tbl(_iri("supp:", t["s_suppkey"]), "ships_to",
+                    _iri("nation:", t["s_nationkey"]))
 
     # nation/region are ≤25-row dimension tables: build the chain and
     # hierarchy edges driver-side (same broadcast-dimension treatment
@@ -970,15 +939,14 @@ def owl_demo_triples(sf_dir: str):
             .to_pandas().sort_values(["n_regionkey", "n_nationkey"])
     reg = pq.read_table(f"{sf_dir}/region.parquet",
                         columns=["r_regionkey"]).to_pandas()
-    rows: list[tuple[str, str, str, str]] = []
+    rows: list[tuple[str, ...]] = []
     for _, grp in nat.groupby("n_regionkey"):
         keys = grp["n_nationkey"].tolist()
-        rows += [(f"nation:{a}", "same_region_as", f"nation:{b}", "iri")
+        rows += [(f"nation:{a}", "same_region_as", f"nation:{b}")
                  for a, b in zip(keys, keys[1:])]
     rows += [(f"nation:{r.n_nationkey}", "within",
-              f"region:{r.n_regionkey}", "iri")
-             for r in nat.itertuples()]
-    rows += [(f"region:{k}", "within", "class:world", "iri")
+              f"region:{r.n_regionkey}") for r in nat.itertuples()]
+    rows += [(f"region:{k}", "within", "class:world")
              for k in reg["r_regionkey"]]
     # literal objects on an invertible predicate: must never swap
     nat_names = pq.read_table(f"{sf_dir}/nation.parquet",
@@ -986,21 +954,15 @@ def owl_demo_triples(sf_dir: str):
     rows += [(f"nation:{r.n_nationkey}", "labeled_as", str(r.n_name),
               "literal") for r in nat_names.itertuples()]
     rows += [
-        ("ships_to", "owl:inverseOf", "supplied_by", "iri"),
-        ("labeled_as", "owl:inverseOf", "label_of", "iri"),
-        ("same_region_as", "rdf:type", "owl:SymmetricProperty", "iri"),
-        ("same_region_as", "rdf:type", "owl:TransitiveProperty", "iri"),
-        ("within", "rdf:type", "owl:TransitiveProperty", "iri"),
+        ("ships_to", "owl:inverseOf", "supplied_by"),
+        ("labeled_as", "owl:inverseOf", "label_of"),
+        ("same_region_as", "rdf:type", "owl:SymmetricProperty"),
+        ("same_region_as", "rdf:type", "owl:TransitiveProperty"),
+        ("within", "rdf:type", "owl:TransitiveProperty"),
     ]
-    small = pa.table({
-        "subject": pa.array([r[0] for r in rows], pa.string()),
-        "predicate": pa.array([r[1] for r in rows], pa.string()),
-        "object": pa.array([r[2] for r in rows], pa.string()),
-        "object_kind": pa.array([r[3] for r in rows], pa.string()),
-    })
     return (cust.map_batches(enc_cust, batch_format="pyarrow")
             .union(supp.map_batches(enc_supp, batch_format="pyarrow"))
-            .union(ray.data.from_arrow(small)))
+            .union(_const_triples(rows)))
 
 
 def sameas_demo_triples(sf_dir: str):
@@ -1023,51 +985,33 @@ def sameas_demo_triples(sf_dir: str):
     group), so the ``merge=True`` canonical mapping genuinely
     exercises transitive smushing while staying in closed SQL form —
     see ``oracle_sql()['kg_sameas_pairs' / 'kg_sameas_canonical']``."""
-    import ray.data
-
     orders = _sized_read(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"])
     cust = _sized_read(
         f"{sf_dir}/customer.parquet", columns=["c_custkey"])
 
-    def _iri(prefix: str, col: pa.ChunkedArray) -> pa.ChunkedArray:
-        return pc.binary_join_element_wise(
-            prefix, pc.cast(col, pa.string()), "")
-
-    def tbl(subject, predicate, obj, kind="iri"):
-        n = len(subject)
-        return pa.table({
-            "subject": subject,
-            "predicate": pa.array([predicate] * n, pa.string()),
-            "object": obj,
-            "object_kind": pa.array([kind] * n, pa.string()),
-        })
-
     def enc_orders(t: pa.Table) -> pa.Table:
         o = _iri("order:", t["o_orderkey"])
         return pa.concat_tables([
-            tbl(o, "owner", _iri("cust:", t["o_custkey"])),
-            tbl(o, "owner", _iri("customer:", t["o_custkey"])),
+            _tbl(o, "owner", _iri("cust:", t["o_custkey"])),
+            _tbl(o, "owner", _iri("customer:", t["o_custkey"])),
             # decoy: multi-valued, undeclared — must derive nothing
-            tbl(o, "clicked", _iri("page:", t["o_orderkey"])),
+            _tbl(o, "clicked", _iri("page:", t["o_orderkey"])),
         ])
 
     def enc_cust(t: pa.Table) -> pa.Table:
         grp = pa.chunked_array([pa.array(
             t["c_custkey"].to_numpy() % 100, pa.int64())])
-        return tbl(_iri("cust:", t["c_custkey"]), "contact_key",
-                   _iri("key:", grp), "literal")
+        return _tbl(_iri("cust:", t["c_custkey"]), "contact_key",
+                    _iri("key:", grp), "literal")
 
-    onto = pa.table({
-        "subject": pa.array(["owner", "contact_key"], pa.string()),
-        "predicate": pa.array(["rdf:type"] * 2, pa.string()),
-        "object": pa.array(["owl:FunctionalProperty",
-                            "owl:InverseFunctionalProperty"], pa.string()),
-        "object_kind": pa.array(["iri"] * 2, pa.string()),
-    })
+    onto = _const_triples([
+        ("owner", "rdf:type", "owl:FunctionalProperty"),
+        ("contact_key", "rdf:type", "owl:InverseFunctionalProperty"),
+    ])
     return (orders.map_batches(enc_orders, batch_format="pyarrow")
             .union(cust.map_batches(enc_cust, batch_format="pyarrow"))
-            .union(ray.data.from_arrow(onto)))
+            .union(onto))
 
 
 def eq_demo_triples(sf_dir: str):
@@ -1080,49 +1024,28 @@ def eq_demo_triples(sf_dir: str):
     sub-hierarchy expansions, the type lifting and the predicate
     lifting — has a closed SQL form; see
     ``oracle_sql()['kg_eq_closure']``."""
-    import ray.data
-
     orders = _sized_read(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"])
     cust = _sized_read(
         f"{sf_dir}/customer.parquet", columns=["c_custkey"])
 
-    def _iri(prefix: str, col: pa.ChunkedArray) -> pa.ChunkedArray:
-        return pc.binary_join_element_wise(
-            prefix, pc.cast(col, pa.string()), "")
-
-    def tbl(subject, predicate, obj):
-        n = len(subject)
-        return pa.table({
-            "subject": subject,
-            "predicate": pa.array([predicate] * n, pa.string()),
-            "object": obj,
-            "object_kind": pa.array(["iri"] * n, pa.string()),
-        })
-
     def enc_orders(t: pa.Table) -> pa.Table:
-        return tbl(_iri("order:", t["o_orderkey"]), "placed_by",
-                   _iri("cust:", t["o_custkey"]))
+        return _tbl(_iri("order:", t["o_orderkey"]), "placed_by",
+                    _iri("cust:", t["o_custkey"]))
 
     def enc_cust(t: pa.Table) -> pa.Table:
         n = len(t)
-        return tbl(_iri("cust:", t["c_custkey"]), "rdf:type",
-                   pa.chunked_array([pa.array(["class:Customer"] * n)]))
+        return _tbl(_iri("cust:", t["c_custkey"]), "rdf:type",
+                    pa.chunked_array([pa.array(["class:Customer"] * n)]))
 
-    onto = [
+    onto = _const_triples([
         ("class:Customer", "owl:equivalentClass", "class:Client"),
         ("class:Client", "owl:equivalentClass", "class:Buyer"),
         ("placed_by", "owl:equivalentProperty", "ordered_by"),
-    ]
-    onto_tbl = pa.table({
-        "subject": pa.array([s for s, _, _ in onto], pa.string()),
-        "predicate": pa.array([p for _, p, _ in onto], pa.string()),
-        "object": pa.array([o for _, _, o in onto], pa.string()),
-        "object_kind": pa.array(["iri"] * len(onto), pa.string()),
-    })
+    ])
     return (orders.map_batches(enc_orders, batch_format="pyarrow")
             .union(cust.map_batches(enc_cust, batch_format="pyarrow"))
-            .union(ray.data.from_arrow(onto_tbl)))
+            .union(onto))
 
 
 def order_quads(sf_dir: str):
@@ -1137,16 +1060,9 @@ def order_quads(sf_dir: str):
       ``(order:<o>, priority, <o_orderpriority>)``
 
     Nation (25 rows) is a driver-side broadcast lookup; orders get their
-    customer's graph through ONE pruned hash join on ``custkey`` at a
-    derived partition count — the same shape the relational pipelines use.
+    customer's graph through ONE :func:`_solution_join` on ``o_custkey``.
     """
-    import numpy as np
     import pandas as pd
-    import ray.data
-
-    from cmc_knowledge_graph_text2ttl_ray.functions.cluster import (
-        default_join_partitions,
-    )
 
     nation = _sized_read(
         f"{sf_dir}/nation.parquet",
@@ -1176,10 +1092,11 @@ def order_quads(sf_dir: str):
         lambda df: pd.DataFrame({"o_custkey": df["c_custkey"],
                                  "graph": df["c_nationkey"].map(ndict)}),
         batch_format="pandas")
-    n_orders = orders.count()
-    np_join = max(1, min(default_join_partitions(), -(-n_orders // 200_000)))
-    joined = orders.join(cust_graph, join_type="inner",
-                         num_partitions=np_join, on=("o_custkey",))
+    order_cols = ("o_orderkey", "o_custkey", "o_orderpriority")
+    joined = _solution_join(
+        _compact(orders, order_cols),
+        _compact(cust_graph, ("o_custkey", "graph")), "inner",
+        ["o_custkey"], order_cols + ("graph",)).ds
 
     def enc_orders(df: pd.DataFrame) -> pd.DataFrame:
         osubj = "order:" + df["o_orderkey"].astype(str)

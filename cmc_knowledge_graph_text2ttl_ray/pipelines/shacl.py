@@ -14,13 +14,15 @@ components only):
 
 Scale shape: one focus-node scan per shape (constant-predicate ``rdf:
 type`` pattern — pruned to its bucket on a ``TripleStore``), one value
-scan per property shape, joined focus⋈values with partition counts
-sized by the compacted sides; count constraints aggregate per focus
-inside ``coarse_group_reduce``; ``class_`` membership is a hash
-anti-join against the typed-node set.  The output is a violations
-Dataset ``(focus, shape, path, constraint, detail)`` — empty means
-conformant, and the publish step can gate on ``.count() == 0`` the
-same way the literal gate does.
+scan per property shape, semi-joined to the focus set; count
+constraints are one ``groupby(focus).count()`` left-outer-joined back
+to the focus set; ``class_`` membership is an anti-join against the
+typed-node set.  Every join is ``kg_query._solution_join``: a
+broadcast probe while the smaller side fits
+``functions.cluster.BROADCAST_JOIN_ROWS``, a hash shuffle past it.
+The output is a violations Dataset ``(focus, shape, path, constraint,
+detail)`` — empty means conformant, and the publish step can gate on
+``.count() == 0`` the same way the literal gate does.
 """
 
 from __future__ import annotations
@@ -67,14 +69,6 @@ class NodeShape:
         self.properties = properties
 
 
-def _scan(triples, s, p, o, rename=None):
-    from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import (
-        _pattern_scan,
-    )
-
-    return _pattern_scan(triples, (s, p, o), rename=rename).ds
-
-
 def validate_shapes(triples, shapes: list[NodeShape],
                     rdf_type: str = RDF_TYPE):
     """Validate every shape; returns the violations Dataset (see module
@@ -82,9 +76,12 @@ def validate_shapes(triples, shapes: list[NodeShape],
     cost scales with the targeted subgraph, not the KG."""
     from cmc_knowledge_graph_text2ttl_ray.functions.cluster import (
         coarse_group_reduce,
-        default_join_partitions,
     )
-    from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import _reblock
+    from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import (
+        _compact,
+        _pattern_scan,
+        _solution_join,
+    )
 
     import ray.data
 
@@ -101,47 +98,40 @@ def validate_shapes(triples, shapes: list[NodeShape],
             "detail": pa.array(detail, pa.string()),
         }, schema=_VIOL_SCHEMA)
 
+    val_cols = ("focus", "value", "object_kind", "object_datatype")
     parts = []
     for shape in shapes:
-        focus, n_focus = _reblock(
-            _scan(triples, "?focus", rdf_type, shape.target_class))
-        if focus is None:
+        focus = _pattern_scan(triples,
+                              ("?focus", rdf_type, shape.target_class))
+        if focus.n == 0:
             continue
         for ps in shape.properties:
             # value scan restricted to this property; full triple columns
             # needed for kind/datatype checks, so scan the raw pattern
             # and semi-join to the focus set
-            def value_scan():
-                src = (triples.scan_for_predicate(ps.path)
-                       if hasattr(triples, "scan_for_predicate")
-                       else triples)
+            src = (triples.scan_for_predicate(ps.path)
+                   if hasattr(triples, "scan_for_predicate") else triples)
 
-                def pick(t: pa.Table, ps=ps) -> pa.Table:
-                    t = t.filter(pc.fill_null(
-                        pc.equal(t["predicate"], ps.path), False))
-                    cols = {"focus": t["subject"].cast(pa.string()),
-                            "value": t["object"].cast(pa.string())}
-                    for c in ("object_kind", "object_datatype"):
-                        cols[c] = (t[c].cast(pa.string())
-                                   if c in t.column_names
-                                   else pa.nulls(len(t), pa.string()))
-                    return pa.table(cols)
+            def pick(t: pa.Table, ps=ps) -> pa.Table:
+                t = t.filter(pc.fill_null(
+                    pc.equal(t["predicate"], ps.path), False))
+                cols = {"focus": t["subject"].cast(pa.string()),
+                        "value": t["object"].cast(pa.string())}
+                for c in ("object_kind", "object_datatype"):
+                    cols[c] = (t[c].cast(pa.string())
+                               if c in t.column_names
+                               else pa.nulls(len(t), pa.string()))
+                return pa.table(cols)
 
-                return src.map_batches(pick, batch_format="pyarrow")
-
-            np_join = max(1, min(default_join_partitions(),
-                                 -(-n_focus // 50_000)))
-            vals, n_vals = _reblock(value_scan())
-            if vals is not None:
-                vals = vals.join(
-                    focus.rename_columns({"focus": "focus__r"}),
-                    join_type="left_semi", num_partitions=np_join,
-                    on=("focus",), right_on=("focus__r",))
-                vals, n_vals = _reblock(vals)
+            vals = _compact(src.map_batches(pick, batch_format="pyarrow"),
+                            val_cols)
+            if vals.n:
+                vals = _solution_join(vals, focus, "left_semi", ["focus"],
+                                      val_cols)
 
             # ---- count constraints (per-focus, zero included) ----
             if ps.min_count > 0 or ps.max_count is not None:
-                if vals is None:
+                if vals.n == 0:
                     if ps.min_count > 0:
                         def all_missing(t: pa.Table, ps=ps, shape=shape) -> pa.Table:
                             f = t["focus"].to_pylist()
@@ -149,22 +139,17 @@ def validate_shapes(triples, shapes: list[NodeShape],
                                 f, shape.name, ps.path, "minCount",
                                 ["0"] * len(f))
 
-                        parts.append(focus.map_batches(
+                        parts.append(focus.ds.map_batches(
                             all_missing, batch_format="pyarrow"))
                 else:
-                    counted = vals.groupby("focus").count()
-                    counted, _ = _reblock(counted)
-                    joined = focus.join(
-                        counted.rename_columns({"focus": "focus__r"}),
-                        join_type="left_outer",
-                        num_partitions=np_join,
-                        on=("focus",), right_on=("focus__r",))
+                    counted = _compact(vals.ds.groupby("focus").count(),
+                                       ("focus", "count()"))
+                    joined = _solution_join(focus, counted, "left_outer",
+                                            ["focus"], ("focus", "count()"))
 
                     def count_viols(t: pa.Table, ps=ps, shape=shape) -> pa.Table:
                         cnt = pc.fill_null(
-                            pc.cast(t["count()"], pa.int64()), 0) \
-                            if "count()" in t.column_names else \
-                            pa.array([0] * len(t), pa.int64())
+                            pc.cast(t["count()"], pa.int64()), 0)
                         f = t["focus"].to_pylist()
                         c = cnt.to_pylist()
                         out = []
@@ -183,10 +168,10 @@ def validate_shapes(triples, shapes: list[NodeShape],
                                         pa.array([o[1] for o in out],
                                                  pa.string()))
 
-                    parts.append(joined.map_batches(
+                    parts.append(joined.ds.map_batches(
                         count_viols, batch_format="pyarrow"))
 
-            if vals is None:
+            if vals.n == 0:
                 continue
 
             # ---- vectorized per-value constraints ----
@@ -229,37 +214,25 @@ def validate_shapes(triples, shapes: list[NodeShape],
 
             if any(x is not None for x in (ps.node_kind, ps.datatype,
                                            ps.pattern, ps.in_values)):
-                parts.append(vals.map_batches(value_viols,
-                                              batch_format="pyarrow"))
+                parts.append(vals.ds.map_batches(value_viols,
+                                                 batch_format="pyarrow"))
 
             # ---- class constraint: IRI values must be typed ----
             if ps.class_ is not None:
-                typed, n_typed = _reblock(_scan(
-                    triples, "?v", rdf_type, ps.class_,
-                    rename={"v": "v__r"}))
-                iri_vals = vals.map_batches(
-                    lambda t: t.filter(pc.fill_null(
-                        pc.equal(t["object_kind"], "iri"), False)),
-                    batch_format="pyarrow")
-                iri_vals, n_iri = _reblock(iri_vals)
-                if iri_vals is None:
-                    continue
-                if typed is None:
-                    untyped = iri_vals
-                else:
-                    np2 = max(1, min(default_join_partitions(),
-                                     -(-min(n_iri, n_typed) // 50_000)))
-                    untyped = iri_vals.join(
-                        typed, join_type="left_anti",
-                        num_partitions=np2,
-                        on=("value",), right_on=("v__r",))
+                typed = _pattern_scan(triples, ("?value", rdf_type, ps.class_))
+                untyped = vals.map(
+                    lambda t: t.filter(pc.equal(t["object_kind"], "iri")),
+                    val_cols)
+                if untyped.n and typed.n:
+                    untyped = _solution_join(untyped, typed, "left_anti",
+                                             ["value"], val_cols)
 
                 def class_viols(t: pa.Table, ps=ps, shape=shape) -> pa.Table:
                     return viol_table(
                         t["focus"].to_pylist(), shape.name, ps.path,
                         "class", t["value"].to_pylist())
 
-                parts.append(untyped.map_batches(
+                parts.append(untyped.ds.map_batches(
                     class_viols, batch_format="pyarrow"))
 
     if not parts:

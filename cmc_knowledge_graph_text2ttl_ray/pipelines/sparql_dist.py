@@ -191,12 +191,15 @@ def _closure_source(pred: str):
     """Source factory for a ``p+`` pattern: the transitive closure of
     predicate ``pred``, computed ONCE per query by semi-naive
     ``forward_chain`` over only that predicate's edges (bucket-pruned on
-    a TripleStore) and scanned like any triple source."""
+    a TripleStore) and scanned like any triple source.  The edges enter
+    untyped, as the inner path's edges do (:func:`_path_edge_dataset`):
+    a path relates nodes, so an edge to a literal is the same pair as
+    the IRI-typed fact a rule derives."""
     def factory(triples):
         import pyarrow.compute as pc
 
         from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_infer import (
-            Rule,
+            _transitive,
             forward_chain,
         )
 
@@ -204,11 +207,10 @@ def _closure_source(pred: str):
                 if hasattr(triples, "scan_for_predicate") else triples)
         base = base.map_batches(
             lambda t, _p=pred: t.filter(pc.fill_null(
-                pc.equal(t["predicate"], _p), False)),
+                pc.equal(t["predicate"], _p), False)).select(
+                    ["subject", "predicate", "object"]),
             batch_format="pyarrow")
-        rule = Rule([("?x", pred, "?y"), ("?y", pred, "?z")],
-                    [("?x", pred, "?z")], name="closure")
-        return forward_chain(base, [rule])["closure"]
+        return forward_chain(base, [_transitive(pred)])["closure"]
 
     return factory
 
@@ -256,14 +258,12 @@ def _complex_closure_source(inner_ast, sent: str):
     same semi-naive ``forward_chain`` closure as the plain-IRI case."""
     def factory(triples):
         from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_infer import (
-            Rule,
+            _transitive,
             forward_chain,
         )
 
         edges = _path_edge_dataset(triples, inner_ast, sent)
-        rule = Rule([("?x", sent, "?y"), ("?y", sent, "?z")],
-                    [("?x", sent, "?z")], name="closure")
-        return forward_chain(edges, [rule])["closure"]
+        return forward_chain(edges, [_transitive(sent)])["closure"]
 
     return factory
 

@@ -155,6 +155,14 @@ def test_merge_equivalent_entities(ray_session):
     assert res["n_mapped"] == 3
 
 
+def test_merge_equivalent_entities_hash_tier(ray_session, monkeypatch):
+    # every solution join takes the hash-shuffle tier
+    from cmc_knowledge_graph_text2ttl_ray.functions import cluster
+
+    monkeypatch.setattr(cluster, "BROADCAST_JOIN_ROWS", 0)
+    test_merge_equivalent_entities(ray_session)
+
+
 def test_merge_no_sameas_edges_is_noop(ray_session):
     from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_infer import (
         merge_equivalent_entities,
@@ -326,20 +334,24 @@ def test_rdfs_closure_entailments(ray_session):
     assert iri_row.object_kind == "iri"
 
 
-def test_rdfs_closure_block_invariance_and_join_path(ray_session):
+def test_rdfs_closure_block_invariance_and_join_path(ray_session,
+                                                    monkeypatch):
     """Same entailments regardless of input blocking, and every
     scale-path combination matches the default (driver-pandas schema
-    closure + broadcast derivation): forward_chain schema closure
-    (driver_schema_rows=0), and the fully-distributed variant
-    (forward_chain schema + hash-join derivations,
-    broadcast_threshold=0 too)."""
+    closure + broadcast derivation): distributed forward_chain schema
+    closure (DRIVER_ROWS=0), and the fully-distributed variant
+    (distributed schema closure + hash-join derivations,
+    BROADCAST_JOIN_ROWS=0 too)."""
+    from cmc_knowledge_graph_text2ttl_ray.functions import cluster
+    from cmc_knowledge_graph_text2ttl_ray.pipelines import kg_infer
     from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_infer import rdfs_closure
 
     base = rdfs_closure(_typed_ds(RDFS_TOY))
     blocked = rdfs_closure(_typed_ds(RDFS_TOY, num_blocks=4))
-    fc = rdfs_closure(_typed_ds(RDFS_TOY), driver_schema_rows=0)
-    joined = rdfs_closure(_typed_ds(RDFS_TOY), driver_schema_rows=0,
-                          broadcast_threshold=0)
+    monkeypatch.setattr(kg_infer, "DRIVER_ROWS", 0)
+    fc = rdfs_closure(_typed_ds(RDFS_TOY))
+    monkeypatch.setattr(cluster, "BROADCAST_JOIN_ROWS", 0)
+    joined = rdfs_closure(_typed_ds(RDFS_TOY))
     assert _spo(blocked["derived"]) == _spo(base["derived"]) == RDFS_EXPECT
     assert _spo(fc["derived"]) == RDFS_EXPECT
     assert _spo(joined["derived"]) == RDFS_EXPECT
@@ -541,17 +553,64 @@ def test_sameas_from_functional_merge_chain(ray_session):
                    for s, _, o in got)
 
 
-def test_owl_lite_closure_path_equivalence(ray_session):
-    """driver_edge_rows=0 forces the distributed forward_chain
-    fixpoint; both paths must derive the identical set."""
+def test_owl_lite_closure_path_equivalence(ray_session, monkeypatch):
+    """DRIVER_ROWS=0 forces the distributed forward_chain fixpoint;
+    both paths must derive the identical set."""
+    from cmc_knowledge_graph_text2ttl_ray.pipelines import kg_infer
     from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_infer import (
         owl_lite_closure,
     )
 
-    dist = owl_lite_closure(_typed_ds(OWL_TOY, num_blocks=3),
-                            driver_edge_rows=0)
+    monkeypatch.setattr(kg_infer, "DRIVER_ROWS", 0)
+    dist = owl_lite_closure(_typed_ds(OWL_TOY, num_blocks=3))
     assert _spo(dist["derived"]) == OWL_EXPECT
     assert dist["n_derived"] == len(OWL_EXPECT)
+
+
+@pytest.fixture(params=["driver", "distributed"])
+def closure_tier(request, monkeypatch):
+    """Runs a test with the closures' forward_chain on each side of
+    ``kg_infer.DRIVER_ROWS``."""
+    from cmc_knowledge_graph_text2ttl_ray.pipelines import kg_infer
+
+    if request.param == "distributed":
+        monkeypatch.setattr(kg_infer, "DRIVER_ROWS", 0)
+
+
+def _untyped_ds(triples):
+    import ray.data
+
+    cols = list(zip(*triples))
+    return ray.data.from_arrow(pa.table({
+        "subject": list(cols[0]), "predicate": list(cols[1]),
+        "object": list(cols[2])}))
+
+
+def test_rdfs_closure_untyped_input(ray_session, closure_tier):
+    """(subject, predicate, object) input: the asserted A ⊑ C is not
+    derived again with the rule head's IRI typing."""
+    from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_infer import rdfs_closure
+
+    out = rdfs_closure(_untyped_ds([
+        ("A", "rdfs:subClassOf", "B"), ("B", "rdfs:subClassOf", "C"),
+        ("A", "rdfs:subClassOf", "C"), ("x", "rdf:type", "A")]))
+    assert _spo(out["derived"]) == {("x", "rdf:type", "B"),
+                                    ("x", "rdf:type", "C")}
+    assert out["n_derived"] == 2
+    assert set(out["closure"].to_pandas()["object_kind"]) == {"iri"}
+
+
+def test_owl_lite_closure_untyped_input(ray_session, closure_tier):
+    """An untyped edge set that is already transitive derives nothing."""
+    from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_infer import (
+        owl_lite_closure,
+    )
+
+    out = owl_lite_closure(_untyped_ds([
+        ("p", "rdf:type", "owl:TransitiveProperty"),
+        ("a", "p", "b"), ("b", "p", "c"), ("a", "p", "c")]))
+    assert out["n_derived"] == 0
+    assert _spo(out["derived"]) == set()
 
 
 # ---------------------------------------------------------------------------
@@ -683,16 +742,23 @@ def test_forward_chain_seed_delta_no_entailments(ray_session):
     assert _spo(inc["closure"]) == _spo(closed) | {("zz", "other", "yy")}
 
 
-def test_forward_chain_driver_vs_distributed_equivalence(ray_session):
-    """driver_rows=0 forces the distributed loop; both paths must agree
+def test_forward_chain_driver_vs_distributed_equivalence(ray_session,
+                                                        monkeypatch):
+    """DRIVER_ROWS=0 forces the distributed loop; both paths must agree
     on closure, derived, rounds and n_derived — plain, multi-rule and
     seeded runs."""
+    from cmc_knowledge_graph_text2ttl_ray.pipelines import kg_infer
     from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_infer import (
         forward_chain,
     )
 
+    def distributed(*args, **kwargs):
+        with monkeypatch.context() as mp:
+            mp.setattr(kg_infer, "DRIVER_ROWS", 0)
+            return forward_chain(*args, **kwargs)
+
     drv = forward_chain(_ds(CHAIN), [TRANS])
-    dist = forward_chain(_ds(CHAIN), [TRANS], driver_rows=0)
+    dist = distributed(_ds(CHAIN), [TRANS])
     assert _spo(drv["closure"]) == _spo(dist["closure"])
     assert _spo(drv["derived"]) == _spo(dist["derived"])
     assert (drv["rounds"], drv["n_derived"]) == \
@@ -707,15 +773,14 @@ def test_forward_chain_driver_vs_distributed_equivalence(ray_session):
     tri = [("cat", "subClassOf", "mammal"),
            ("mammal", "subClassOf", "animal"), ("felix", "type", "cat")]
     drv = forward_chain(_ds(tri), rules)
-    dist = forward_chain(_ds(tri), rules, driver_rows=0)
+    dist = distributed(_ds(tri), rules)
     assert _spo(drv["closure"]) == _spo(dist["closure"])
     assert drv["n_derived"] == dist["n_derived"] == 3
 
     closed = forward_chain(_ds(CHAIN), [TRANS])["closure"]
     new = [("d", "locatedIn", "e")]
     drv = forward_chain(closed, [TRANS], seed_delta=_ds(new))
-    dist = forward_chain(closed, [TRANS], seed_delta=_ds(new),
-                         driver_rows=0)
+    dist = distributed(closed, [TRANS], seed_delta=_ds(new))
     assert _spo(drv["derived"]) == _spo(dist["derived"])
     assert drv["n_derived"] == dist["n_derived"]
 
@@ -830,7 +895,9 @@ def test_dred_delete_cycle_without_external_support_dies(ray_session):
     assert _spo(out["removed"]) == {("m", "eq", "n"), ("n", "eq", "m")}
 
 
-def test_dred_delete_driver_vs_distributed_equivalence(ray_session):
+def test_dred_delete_driver_vs_distributed_equivalence(ray_session,
+                                                      monkeypatch):
+    from cmc_knowledge_graph_text2ttl_ray.pipelines import kg_infer
     from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_infer import (
         dred_delete,
     )
@@ -842,9 +909,10 @@ def test_dred_delete_driver_vs_distributed_equivalence(ray_session):
     drv = dred_delete(closure, [TRANS],
                       deletions=_ds([("b", "locatedIn", "c")]),
                       base=_ds(rows))
+    monkeypatch.setattr(kg_infer, "DRIVER_ROWS", 0)
     dist = dred_delete(closure, [TRANS],
                        deletions=_ds([("b", "locatedIn", "c")]),
-                       base=_ds(rows), driver_rows=0)
+                       base=_ds(rows))
     assert _spo(drv["closure"]) == _spo(dist["closure"])
     assert _spo(drv["removed"]) == _spo(dist["removed"])
     assert drv["n_removed"] == dist["n_removed"]

@@ -53,8 +53,16 @@ def _ds(num_blocks=1):
     return ds.repartition(num_blocks) if num_blocks > 1 else ds
 
 
-@pytest.mark.parametrize("num_blocks", [1, 4])
-def test_all_constraint_kinds(ray_session, num_blocks):
+@pytest.mark.parametrize("num_blocks,hash_tier", [
+    pytest.param(1, False, id="1"), pytest.param(4, False, id="4"),
+    pytest.param(1, True, id="hash_tier")])
+def test_all_constraint_kinds(ray_session, monkeypatch, num_blocks,
+                              hash_tier):
+    # hash_tier: every solution join takes the hash-shuffle tier
+    if hash_tier:
+        from cmc_knowledge_graph_text2ttl_ray.functions import cluster
+
+        monkeypatch.setattr(cluster, "BROADCAST_JOIN_ROWS", 0)
     df = validate_shapes(_ds(num_blocks), SHAPES).to_pandas()
     got = {(r.focus, r.path, r.constraint) for r in df.itertuples()}
     assert got == {

@@ -51,8 +51,8 @@ def _local(query):
     return gi.query(query)
 
 
-def _dist(query, **kw):
-    df = sparql_select(_ds(), query, **kw).to_pandas()
+def _dist(query, ds=None, **kw):
+    df = sparql_select(_ds() if ds is None else ds, query, **kw).to_pandas()
     rows = []
     for r in df.to_dict(orient="records"):
         rows.append({k: v for k, v in r.items()
@@ -78,6 +78,22 @@ def _assert_same(query, **kw):
     assert _norm(local) == _norm(dist), (
         f"query {query!r}: local={local} dist={dist}")
     return dist
+
+
+def _assert_same_over(rows, query):
+    """:func:`_assert_same` over ``rows`` ``(s, p, o, object_kind)``
+    instead of ``TRIPLES``."""
+    import ray.data
+
+    cols = list(zip(*rows))
+    ds = ray.data.from_arrow(pa.table({
+        "subject": list(cols[0]), "predicate": list(cols[1]),
+        "object": list(cols[2]), "object_kind": list(cols[3]),
+    }))
+    local = GraphIndex([(*r, None, None) for r in rows]).query(query)
+    dist = _dist(query, ds=ds)
+    assert _norm(local) == _norm(dist), (
+        f"query {query!r}: local={local} dist={dist}")
 
 
 def test_plain_bgp(ray_session):
@@ -398,6 +414,26 @@ def test_optional_nullable_right_side(ray_session):
 
 
 # ---- closures (*, ?, complex +) ------------------------------------------
+
+
+def test_sequence_closure_counts_each_pair_once(ray_session):
+    # two routes a -> c: the closure must hold the pair once, although
+    # the sequence's edges reach forward_chain untyped and the rule head
+    # types what it derives as an IRI
+    rows = [(EX + s, EX + p, EX + o, "iri") for s, p, o in [
+        ("a", "p", "m1"), ("m1", "q", "b"), ("b", "p", "m2"),
+        ("m2", "q", "c"), ("a", "p", "m3"), ("m3", "q", "c")]]
+    _assert_same_over(rows, PFX + "SELECT ?s ?o WHERE { ?s (ex:p/ex:q)+ ?o }")
+
+
+def test_plus_closure_to_literal_counts_each_pair_once(ray_session):
+    # a -> "lit" is asserted and also derived through b: the derived
+    # IRI-typed fact must not add a second row next to the literal one
+    rows = [(EX + "a", EX + "p", EX + "b", "iri"),
+            (EX + "b", EX + "p", "lit", "literal"),
+            (EX + "a", EX + "p", "lit", "literal")]
+    _assert_same_over(rows, PFX + "SELECT ?s ?o WHERE { ?s ex:p+ ?o }")
+
 
 
 def test_star_closure_with_join(ray_session):
