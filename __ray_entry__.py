@@ -17,19 +17,6 @@ from collections.abc import Callable
 from typing import Any
 
 
-def _kg_concurrency(sf_dir: str) -> int:
-    """Cluster- AND input-derived extraction pool size (round-3 verdict:
-    the old pinned ``concurrency=4`` was right for sf0.001 only)."""
-    import pyarrow.parquet as pq
-
-    from cmc_knowledge_graph_text2ttl_ray.functions.cluster import (
-        input_bounded_concurrency,
-    )
-
-    n = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
-    return input_bounded_concurrency(n)
-
-
 def entry() -> Any:
     """Flagship pipeline: pages(sf0.001 documents) → triples (deduped)."""
     from cmc_knowledge_graph_text2ttl_ray.sources.pages import pages_from_documents
@@ -37,7 +24,7 @@ def entry() -> Any:
 
     sf_dir = "/root/testdata/sf0.001"
     pages = pages_from_documents(sf_dir)
-    result = run_kg_pipeline(pages, concurrency=_kg_concurrency(sf_dir))
+    result = run_kg_pipeline(pages)
     return result["triples"]
 
 
@@ -45,8 +32,7 @@ def _kg_records(sf_dir: str):
     from cmc_knowledge_graph_text2ttl_ray.sources.pages import pages_from_documents
     from cmc_knowledge_graph_text2ttl_ray.pipelines.kg import run_kg_pipeline
 
-    return run_kg_pipeline(pages_from_documents(sf_dir),
-                           concurrency=_kg_concurrency(sf_dir))
+    return run_kg_pipeline(pages_from_documents(sf_dir))
 
 
 def _kg_triples(sf_dir: str):
@@ -73,8 +59,7 @@ def _kg_entity_links(sf_dir: str):
     from cmc_knowledge_graph_text2ttl_ray.sources.pages import pages_from_documents
     from cmc_knowledge_graph_text2ttl_ray.stages.linking import link_entities
 
-    recs = extraction_records(pages_from_documents(sf_dir),
-                              concurrency=_kg_concurrency(sf_dir))
+    recs = extraction_records(pages_from_documents(sf_dir))
     return link_entities(recs, default_kb_ttl(), "http://example.org/entity/")
 
 
@@ -335,12 +320,10 @@ def _kg_incremental_delta(sf_dir: str):
     if not ck.is_valid(root, fp):
         shutil.rmtree(root, ignore_errors=True)
         kg_incremental_update(
-            pages_from_documents(sf_dir, doc_pred=_mod_pred(False)),
-            root, concurrency=_kg_concurrency(sf_dir))
+            pages_from_documents(sf_dir, doc_pred=_mod_pred(False)), root)
         ck.mark_done(root, fp)
     shard = run_kg_pipeline(
-        pages_from_documents(sf_dir, doc_pred=_mod_pred(True)),
-        concurrency=_kg_concurrency(sf_dir))
+        pages_from_documents(sf_dir, doc_pred=_mod_pred(True)))
     return kg_new_triples(shard["triples"], root)
 
 
@@ -2594,14 +2577,14 @@ def oracle_sql() -> dict[str, str]:
                 FROM events GROUP BY day
             ) d ORDER BY day
         """,
-        "docs_bpe_token_stats": """
+        "docs_bpe_token_stats": r"""
             SELECT doc_id,
                    CAST(len(regexp_extract_all(
                        text, '[A-Za-z]+|[0-9]+|[^A-Za-z0-9\s]')) AS BIGINT)
                        AS n_bpe_tokens
             FROM documents
         """,
-        "corpus_clean_winners": """
+        "corpus_clean_winners": r"""
             WITH q AS (
                 SELECT doc_id, text, md5(text) AS text_hash,
                        length(regexp_replace(text, '[^a-zA-Z]', '', 'g')) * 1.0
@@ -2614,7 +2597,7 @@ def oracle_sql() -> dict[str, str]:
             WHERE alpha_ratio >= 0.6 AND n_tokens BETWEEN 10 AND 1000000
             GROUP BY text_hash
         """,
-        "corpus_prep_stats": """
+        "corpus_prep_stats": r"""
             WITH q AS (
                 SELECT doc_id, md5(text) AS text_hash,
                        length(regexp_replace(text, '[^a-zA-Z]', '', 'g')) * 1.0

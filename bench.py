@@ -228,7 +228,7 @@ def run_workload(num_cpus: int) -> dict:
     # gzip'd shards: the sink is storage-bandwidth-bound (TTL compresses
     # 8-10×), and this sandbox throttles sustained disk I/O to single-digit
     # MB/s under load — compression is what a 100-TB deployment does anyway
-    result = run_kg_pipeline(pages, out_dir=out_dir, concurrency=num_cpus, resume=False,
+    result = run_kg_pipeline(pages, out_dir=out_dir, resume=False,
                              checkpoint_records=not os.environ.get("GRAFT_SKIP_QUERIES"),
                              ttl_compression="gzip")
     n_triples = sum(b["n_triples"] for b in result["manifest"]["buckets"].values())

@@ -9,7 +9,7 @@ Bayer-Group/cmc-knowledge-graph-text2ttl, re-expressed Ray-Data-first:
                   text-analysis kernels
 - ``sources``   — deterministic Common-Crawl-style page synthesis + parquet IO
 - ``stages``    — Ray Data map_batches stages (HTML→text extraction, triple
-                  extraction actor pool, canonicalization, dedup, sinks)
+                  extraction tasks, canonicalization, dedup, sinks)
 - ``pipelines`` — end-to-end pipelines (KG construction, relational analytics,
                   dedup family, similarity search, text analysis)
 

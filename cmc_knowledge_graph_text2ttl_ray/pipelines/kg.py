@@ -4,7 +4,7 @@ Topology (SURVEY.md §3.4):
 
     pages (Parquet / synthesized)                      url, warc_ts, html, text, lang
       └─ map_batches(extract_text)                     html → text, zero-copy Arrow
-      └─ map_batches(TripleExtractor actor pool)       compiled workflows per actor
+      └─ map_batches(TripleExtractor per batch)        same task as extract_text
       └─ [records parquet checkpoint when out_dir]     triple/stats/error records
       └─ canonicalize (2-level partial-agg groupby +   shuffle #1 (distinct variants
          broadcast rewrite)                             only — skew pre-collapsed)
@@ -81,9 +81,9 @@ _IMPORT_CHECKED_JOBS: set = set()
 
 def _check_workers_import() -> None:
     """Fail by name, once per Ray job, when Ray workers cannot import
-    this package.  Otherwise the extractor pool retries its actor
-    constructor forever and the build hangs with no error (seen with a
-    script that put the checkout on ``sys.path`` but not on
+    this package.  Otherwise the extraction tasks fail with a bare
+    ``ModuleNotFoundError`` inside a ``RayTaskError`` that names no fix
+    (seen with a script that put the checkout on ``sys.path`` but not on
     ``PYTHONPATH``)."""
     import ray
 
@@ -110,46 +110,33 @@ def _check_workers_import() -> None:
     _IMPORT_CHECKED_JOBS.add(job)
 
 
+def _extract_batch(batch: pa.Table, plans, graphs_ttl, entity_ns) -> pa.Table:
+    """Extraction as a plain task, which Ray Data fuses with the HTML→text
+    map before it.  Building the extractor costs under a millisecond, so
+    each batch builds its own."""
+    return TripleExtractor(plans, graphs_ttl=graphs_ttl,
+                           entity_ns=entity_ns)(batch)
+
+
 def extraction_records(
     pages_ds,
     plans=None,
     graphs_ttl=None,
-    concurrency=None,
     batch_size: int = 64,
     entity_ns: str = ENTITY_NS,
     source: str = "auto",
 ):
     """pages → extraction-record dataset (triple/stats/error/entity rows)."""
-    import ray
-
     plans = plans or default_plans()
     graphs_ttl = graphs_ttl if graphs_ttl is not None else default_graphs()
-    cpus = ray.cluster_resources().get("CPU", 8)
-    if concurrency is None:
-        concurrency = max(2, int(cpus))
-    if isinstance(concurrency, int):
-        # Near-fixed pool: Ray's autoscaling pool ramps up too slowly (2.3×
-        # slower end-to-end measured at (1,32) vs (30,32)), while a fully
-        # fixed pool equal to the CPU count starves neighbor operators
-        # (observed deadlock on small clusters). min = max-2 keeps the pool
-        # hot and leaves headroom for the read/write tasks.
-        concurrency = (max(1, concurrency - 2), concurrency)
-    # The hot pool leaves one whole CPU to the other operators, whose
-    # tasks (a read task by default) each ask for one: at 1 CPU a 1-CPU
-    # actor, and a 0.5-CPU one too, holds the read task back forever
-    # (a 60-page build stalled at both; 7.5 s at 0).  From 2 CPUs on
-    # every actor takes 1 CPU.
-    num_cpus = max(0.0, min(1.0, (cpus - 1) / concurrency[0]))
     _check_workers_import()
     ds = add_extracted_text(pages_ds, source=source)
     return ds.map_batches(
-        TripleExtractor,
-        fn_constructor_kwargs=dict(plans=plans, graphs_ttl=graphs_ttl,
-                                   entity_ns=entity_ns),
+        _extract_batch,
+        fn_kwargs=dict(plans=plans, graphs_ttl=graphs_ttl,
+                       entity_ns=entity_ns),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=num_cpus,
     )
 
 
@@ -160,7 +147,6 @@ def run_kg_pipeline(
     out_dir: str | None = None,
     entity_ns: str = ENTITY_NS,
     num_buckets: int = 64,
-    concurrency=None,
     resume: bool = True,
     checkpoint_records: bool = True,
     kb_ttl: str | None = None,
@@ -194,8 +180,7 @@ def run_kg_pipeline(
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     recs = extraction_records(pages_ds, plans=plans, graphs_ttl=graphs_ttl,
-                              concurrency=concurrency, entity_ns=entity_ns,
-                              source=source)
+                              entity_ns=entity_ns, source=source)
 
     if out_dir and checkpoint_records:
         import hashlib
@@ -411,7 +396,6 @@ def run_kg_pipeline_waves(
     wave_size: int = 8,
     entity_ns: str = ENTITY_NS,
     num_buckets: int = 64,
-    concurrency=None,
     canonical_mode: str = "auto",
 ):
     """Input-fragment-level checkpointed pipeline (north rule: resumable
@@ -443,10 +427,8 @@ def run_kg_pipeline_waves(
         if key in done and done[key].get("files") == files:
             continue
         pages = ray.data.read_parquet(files)
-        recs = extraction_records(
-            pages, plans=plans, graphs_ttl=graphs_ttl, concurrency=concurrency,
-            entity_ns=entity_ns,
-        )
+        recs = extraction_records(pages, plans=plans, graphs_ttl=graphs_ttl,
+                                  entity_ns=entity_ns)
         wave_dir = os.path.join(out_dir, "records", key)
         # A mid-wave crash leaves partial part files (the waves.json entry is
         # written only after success); clear them so the retry can't leave

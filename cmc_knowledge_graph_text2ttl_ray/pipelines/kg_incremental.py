@@ -186,7 +186,6 @@ def compact_generations(kg_root: str, out_root: str | None = None,
 
 
 def kg_incremental_update(pages_ds, kg_root: str,
-                          concurrency: int | None = None,
                           prefixes: dict[str, str] | None = None,
                           num_buckets: int = 64,
                           compression: str | None = None,
@@ -210,7 +209,7 @@ def kg_incremental_update(pages_ds, kg_root: str,
 
     from cmc_knowledge_graph_text2ttl_ray.pipelines.kg import run_kg_pipeline
 
-    result = run_kg_pipeline(pages_ds, concurrency=concurrency, **kg_kwargs)
+    result = run_kg_pipeline(pages_ds, **kg_kwargs)
     has_published = os.path.isdir(kg_root) and any(
         name.startswith(_GEN_PREFIX) for name in os.listdir(kg_root))
     new = (kg_new_triples(result["triples"], kg_root)

@@ -273,7 +273,6 @@ def _hashed_graph(edges, what: str):
 
 
 def merge_equivalent_entities(triples, sameas_pred: str,
-                              broadcast_threshold: int = 500_000,
                               drop_merged_selfloops: bool = True) -> dict:
     """``owl:sameAs`` smushing: treat ``sameas_pred`` edges as an
     equivalence relation, pick one canonical IRI per equivalence class
@@ -289,13 +288,12 @@ def merge_equivalent_entities(triples, sameas_pred: str,
     64-bit md5 ids (:func:`_hashed_graph`, exact collision check).  The
     node labeling and the canonical lookup are
     :func:`~cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query._solution_join`
-    joins.  The rewrite broadcasts the mapping below
-    ``broadcast_threshold`` (``ray.put`` once, dictionary-encoded per
-    block) and falls back to the salted two-join rewrite above it — the
-    same adaptive pair the canonicalization stage uses."""
-    from cmc_knowledge_graph_text2ttl_ray.functions.cluster import (
-        coarse_group_reduce,
-    )
+    joins.  The rewrite broadcasts a mapping of at most
+    ``functions.cluster.BROADCAST_JOIN_ROWS`` rows (``ray.put`` once,
+    dictionary-encoded per block) and falls back to the salted two-join
+    rewrite above it — the same adaptive pair the canonicalization stage
+    uses."""
+    from cmc_knowledge_graph_text2ttl_ray.functions import cluster
     from cmc_knowledge_graph_text2ttl_ray.pipelines.graph_algos import (
         connected_components,
     )
@@ -335,8 +333,8 @@ def merge_equivalent_entities(triples, sameas_pred: str,
         return (g.groupby("cluster_id", as_index=False)["iri"].min()
                 .rename(columns={"iri": "canonical"}))
 
-    canon = _compact(coarse_group_reduce(labeled.ds, ["cluster_id"],
-                                         min_iri),
+    canon = _compact(cluster.coarse_group_reduce(labeled.ds, ["cluster_id"],
+                                                 min_iri),
                      ("cluster_id", "canonical"))
     mapping = _solution_join(
         labeled, canon, "inner", ["cluster_id"], ("iri", "canonical")).map(
@@ -345,7 +343,7 @@ def merge_equivalent_entities(triples, sameas_pred: str,
             ("iri", "canonical"))
     mapping_ds, n_mapped = mapping.ds, mapping.n
 
-    if n_mapped <= broadcast_threshold:
+    if n_mapped <= cluster.BROADCAST_JOIN_ROWS:
         mdict = {}
         for batch in mapping_ds.iter_batches(batch_format="pyarrow"):
             mdict.update(zip(batch["iri"].to_pylist(),
@@ -390,8 +388,9 @@ def kg_entity_pagerank(triples, damping: float = 0.85, iters: int = 4,
 
     def edge_rows(t: pa.Table) -> pa.Table:
         if "object_kind" in t.column_names:
-            t = t.filter(pc.fill_null(
-                pc.equal(t["object_kind"], "iri"), False))
+            # a null kind reads as "iri", as in _norm_triples
+            kind = pc.fill_null(t["object_kind"].cast(pa.string()), "iri")
+            t = t.filter(pc.equal(kind, "iri"))
         return pa.table({"a": t["subject"].cast(pa.string()),
                          "b": t["object"].cast(pa.string())})
 

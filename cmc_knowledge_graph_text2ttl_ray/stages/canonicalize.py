@@ -111,7 +111,7 @@ def _argmax_mapping(pdf: pd.DataFrame, entity_ns: str) -> pd.DataFrame:
 
 def mapping_from_entity_records(records_ds, entity_ns: str) -> pd.DataFrame:
     """Build the mapping from rec='entity' partial-count rows emitted by the
-    extraction actors — no extra pass over the triple table."""
+    extraction tasks — no extra pass over the triple table."""
     def _ent(t: pa.Table) -> pa.Table:
         # A rec-partitioned checkpoint read arrives pre-filtered without the
         # rec column; mixed record streams still carry it.

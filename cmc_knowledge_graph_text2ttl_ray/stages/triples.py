@@ -1,4 +1,4 @@
-"""Triple-extraction actor stage.
+"""Triple-extraction stage.
 
 The engine analogue of the reference's per-document loop
 (kg_text_to_ttl/text_to_turtle_runner.py:311-431): for every page run each
@@ -8,10 +8,12 @@ emit triple ROWS.
 
 Ray-Data-first design decisions:
 
-- This is a CALLABLE CLASS for ``map_batches(..., concurrency=N)``: the
-  compiled plans + lookup graphs are constructed once per actor in
-  ``__init__`` (the reference recompiles regexes per op invocation —
-  text_to_turtle_processor.py:1233 etc.).
+- This is a callable class: the compiled plans + lookup graphs are
+  indexed once in ``__init__`` (the reference recompiles regexes per op
+  invocation — text_to_turtle_processor.py:1233 etc.). Construction
+  costs under a millisecond, so ``pipelines.kg.extraction_records`` builds
+  one per batch inside a plain task, which Ray Data fuses with the
+  HTML→text map before it.
 - All W workflows are evaluated inside one UDF call per row, so best-of
   selection needs NO groupby/shuffle (SURVEY §2.5 A2).
 - Output is a flat Arrow table of records with a ``rec`` discriminator:
@@ -91,12 +93,12 @@ def collect_prefixes(plans) -> dict[str, str]:
 
 
 class TripleExtractor:
-    """Actor-pool UDF: page batch (Arrow) → extraction-record batch (Arrow).
+    """Batch UDF: page batch (Arrow) → extraction-record batch (Arrow).
 
     :param plans: one or more :class:`CompiledPlan` (pre-compiled on the
-        driver and shipped once per actor — broadcast small-side state).
+        driver and shipped with the task — broadcast small-side state).
     :param graphs_ttl: optional named Turtle texts for ``select:`` lookups;
-        indexed once per actor here.
+        indexed once per instance here.
     :param text_column: column holding the extracted document text.
     :param allow_exec: forwarded to the interpreter (embedded-Python gate).
     """

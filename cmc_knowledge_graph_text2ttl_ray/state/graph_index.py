@@ -4,7 +4,7 @@ Replaces the reference's rdflib-backed ``LocalQueryHandler``
 (reference: kg_text_to_ttl/text_to_turtle_processor.py:168-214) for the
 ``select:`` workflow operation. The store is small broadcast state: built once
 on the driver (or in an actor's ``__init__``) from a Turtle file and shared
-read-only by every extraction actor — the engine's entity-linking candidate
+read-only by every extraction task — the engine's entity-linking candidate
 index.
 
 Supported query subset (what rule workflows actually need):

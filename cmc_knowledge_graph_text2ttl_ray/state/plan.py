@@ -4,8 +4,8 @@ The reference interprets raw YAML dicts and re-compiles every regex on every
 use (reference: kg_text_to_ttl/text_to_turtle_processor.py:703-722 dispatch,
 re.compile at :1233, :1287, :1396, :1518-1520, :1737). This engine compiles the
 whole plan ONCE on the driver into a picklable tree of op dataclasses with
-pre-compiled patterns; the tree is shipped to every extraction actor via its
-constructor (broadcast small-side state) and never mutated.
+pre-compiled patterns; the tree is shipped to every extraction task with
+its arguments (broadcast small-side state) and never mutated.
 
 Keyword precedence is identical to the reference's ordered
 ``keyword_2_method`` table (text_to_turtle_processor.py:2764-2799): the first
@@ -328,7 +328,7 @@ class TripleOp:
 
 @dataclass(frozen=True)
 class CompiledPlan:
-    """Immutable compiled workflow; broadcast to extraction actors.
+    """Immutable compiled workflow; broadcast to extraction tasks.
 
     ``trigger`` (engine extension, no reference analogue): an optional
     pre-compiled routing pattern — the extraction stage skips this workflow

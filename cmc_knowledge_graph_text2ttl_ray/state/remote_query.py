@@ -11,8 +11,8 @@ local :class:`~cmc_knowledge_graph_text2ttl_ray.state.graph_index.GraphIndex` re
 so ``_op_select`` is transport-agnostic.
 
 The worker-side contract matters at scale: an endpoint object is cheap,
-carries no sockets until queried, and each extraction actor holds its own
-(per-actor connection reuse, no shared driver state).
+carries no sockets until queried, and each extractor holds its own
+(per-extractor connection reuse, no shared driver state).
 """
 
 from __future__ import annotations

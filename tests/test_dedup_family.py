@@ -79,7 +79,7 @@ def test_entity_linking_exact_and_fuzzy(ray_session):
     from cmc_knowledge_graph_text2ttl_ray.stages.linking import EntityLinker, link_entities
 
     kb_ttl = open("workflows/company_kb.ttl", encoding="utf8").read()
-    recs = extraction_records(pages_dataset(100, override_num_blocks=4), concurrency=2)
+    recs = extraction_records(pages_dataset(100, override_num_blocks=4))
     links = link_entities(recs, kb_ttl, "http://example.org/entity/").to_pandas()
     assert len(links) > 10
     # the hot entity links to its KB node with a perfect exact score

@@ -338,7 +338,7 @@ def test_docs_corpus_pipeline(ray_session, tmp_path):
     extracted = add_extracted_text(ds, source="doc").to_pandas()
     assert len(extracted) == 5
     assert extracted["extract_error"].isna().all()
-    res = run_kg_pipeline(add_extracted_text(ds, source="doc"), concurrency=2)
+    res = run_kg_pipeline(add_extracted_text(ds, source="doc"))
     assert res["triples"].count() >= 0  # pipeline runs end-to-end
 
 

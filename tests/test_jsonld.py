@@ -87,10 +87,10 @@ def test_kg_pipeline_jsonld_output_matches_turtle(ray_session, tmp_path):
     out_t = str(tmp_path / "ttl_run")
     out_j = str(tmp_path / "jl_run")
     run_kg_pipeline(pages_dataset(60, override_num_blocks=3),
-                    out_dir=out_t, concurrency=2, num_buckets=4,
+                    out_dir=out_t, num_buckets=4,
                     output_format="turtle")
     run_kg_pipeline(pages_dataset(60, override_num_blocks=3),
-                    out_dir=out_j, concurrency=2, num_buckets=4,
+                    out_dir=out_j, num_buckets=4,
                     output_format="jsonld")
     t = ttl_dataset(out_t + "/ttl").to_pandas()
     j = jsonld_dataset(out_j + "/jsonld").to_pandas()

@@ -37,13 +37,13 @@ def _triple_set(ds_or_df):
 @pytest.fixture(scope="module")
 def incremental_root(ray_session, tmp_path_factory):
     root = str(tmp_path_factory.mktemp("kg_gens") / "kg")
-    first = kg_incremental_update(_pages(range(0, 30)), root, concurrency=2)
+    first = kg_incremental_update(_pages(range(0, 30)), root)
     return root, first
 
 
 def test_first_shard_publishes_everything(incremental_root):
     root, first = incremental_root
-    full = run_kg_pipeline(_pages(range(0, 30)), concurrency=2)
+    full = run_kg_pipeline(_pages(range(0, 30)))
     want = _triple_set(full["triples"])
     assert first["generation"] == "gen-00000"
     assert first["n_new"] == len(want)
@@ -52,11 +52,9 @@ def test_first_shard_publishes_everything(incremental_root):
 
 def test_overlapping_shard_publishes_only_the_delta(incremental_root):
     root, _ = incremental_root
-    second = kg_incremental_update(_pages(range(15, 45)), root, concurrency=2)
-    set_a = _triple_set(run_kg_pipeline(_pages(range(0, 30)),
-                                        concurrency=2)["triples"])
-    set_b = _triple_set(run_kg_pipeline(_pages(range(15, 45)),
-                                        concurrency=2)["triples"])
+    second = kg_incremental_update(_pages(range(15, 45)), root)
+    set_a = _triple_set(run_kg_pipeline(_pages(range(0, 30)))["triples"])
+    set_b = _triple_set(run_kg_pipeline(_pages(range(15, 45)))["triples"])
     assert second["generation"] == "gen-00001"
     assert _triple_set(second["new_triples"]) == set_b - set_a
     assert second["n_new"] == len(set_b - set_a)
@@ -64,7 +62,7 @@ def test_overlapping_shard_publishes_only_the_delta(incremental_root):
     assert _triple_set(ttl_dataset(root)) == set_a | set_b
 
     # idempotence: replaying the same shard appends nothing
-    third = kg_incremental_update(_pages(range(15, 45)), root, concurrency=2)
+    third = kg_incremental_update(_pages(range(15, 45)), root)
     assert third["n_new"] == 0
     assert third["generation"] is None
     assert _triple_set(ttl_dataset(root)) == set_a | set_b

@@ -156,11 +156,21 @@ def test_merge_equivalent_entities(ray_session):
 
 
 def test_merge_equivalent_entities_hash_tier(ray_session, monkeypatch):
-    # every solution join takes the hash-shuffle tier
+    # every solution join takes the hash-shuffle tier, and the rewrite
+    # takes the join tier instead of the broadcast dict
     from cmc_knowledge_graph_text2ttl_ray.functions import cluster
+    from cmc_knowledge_graph_text2ttl_ray.stages import canonicalize
 
+    calls, join = [], canonicalize.apply_canonical_mapping_join
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return join(*args, **kwargs)
+
+    monkeypatch.setattr(canonicalize, "apply_canonical_mapping_join", spy)
     monkeypatch.setattr(cluster, "BROADCAST_JOIN_ROWS", 0)
     test_merge_equivalent_entities(ray_session)
+    assert calls
 
 
 def test_merge_no_sameas_edges_is_noop(ray_session):
@@ -207,6 +217,31 @@ def test_kg_entity_pagerank_orders_hubs_first(ray_session):
     # every node of the IRI graph is ranked
     assert set(df["iri"]) == {"d1", "d2", "d3", "acme", "octan",
                               "berlin", "vienna", "germany", "austria"}
+
+
+def test_kg_entity_pagerank_null_object_kind_reads_as_iri(ray_session):
+    """A missing and an all-null ``object_kind`` rank the same graph."""
+    import ray.data
+
+    from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_infer import (
+        kg_entity_pagerank,
+    )
+
+    edges = [("a", "p", "b"), ("b", "p", "c"), ("c", "p", "a"),
+             ("d", "p", "a")]
+    spo = {name: [e[i] for e in edges]
+           for i, name in enumerate(("subject", "predicate", "object"))}
+    untyped = ray.data.from_arrow(pa.table(spo))
+    null_kind = ray.data.from_arrow(pa.table(
+        dict(spo, object_kind=pa.array([None] * 4, pa.string()))))
+
+    def ranks(ds):
+        df = kg_entity_pagerank(ds).to_pandas()
+        return dict(zip(df["iri"], df["rank"]))
+
+    got = ranks(untyped)
+    assert set(got) == {"a", "b", "c", "d"}
+    assert ranks(null_kind) == pytest.approx(got)
 
 
 def test_kg_entity_pagerank_topk_and_literal_edges_ignored(ray_session):

@@ -166,7 +166,7 @@ def test_pdf_pipeline_stage(ray_session):
     assert all("Acme Corp was founded in 1987." in t for t in df["text"])
     assert df["extract_error"].isna().all()
 
-    res = run_kg_pipeline(add_extracted_text(ds), concurrency=2)
+    res = run_kg_pipeline(add_extracted_text(ds))
     triples = res["triples"].to_pandas()
     assert (triples["predicate"].str.endswith("foundedIn")).any()
 

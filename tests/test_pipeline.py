@@ -21,7 +21,7 @@ def kg_run(ray_session, tmp_path_factory):
 
     out_dir = str(tmp_path_factory.mktemp("kg_out"))
     pages = pages_dataset(N_PAGES, override_num_blocks=8)
-    result = run_kg_pipeline(pages, out_dir=out_dir, concurrency=2)
+    result = run_kg_pipeline(pages, out_dir=out_dir)
     result["out_dir"] = out_dir
     return result
 
@@ -124,7 +124,7 @@ def test_rerun_is_deterministic(ray_session, tmp_path):
     for run_dir in ("a", "b"):
         out_dir = str(tmp_path / run_dir)
         pages = pages_dataset(60, override_num_blocks=4 if run_dir == "a" else 7)
-        run_kg_pipeline(pages, out_dir=out_dir, concurrency=2, num_buckets=4)
+        run_kg_pipeline(pages, out_dir=out_dir, num_buckets=4)
         shards = {}
         ttl_dir = os.path.join(out_dir, "ttl")
         for f in sorted(os.listdir(ttl_dir)):
@@ -133,6 +133,47 @@ def test_rerun_is_deterministic(ray_session, tmp_path):
                     shards[f] = fh.read()
         outs.append(shards)
     assert outs[0] == outs[1]
+
+
+def test_extraction_runs_as_fused_tasks_without_actor_pool(ray_session,
+                                                           tmp_path,
+                                                           monkeypatch):
+    """Extraction is a plain task, fused with the HTML→text map before it
+    and the records-checkpoint write after it: a build starts no actor
+    pool, so no extractor actor holds a CPU that the read, canonicalize
+    and sink tasks need.  (Ray Data keeps a Parquet read apart from a
+    ``batch_size`` map, so the read stays its own operator.)"""
+    import pyarrow.parquet as pq
+    import ray.data
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    from cmc_knowledge_graph_text2ttl_ray.pipelines.kg import run_kg_pipeline
+
+    ops, orig = [], StreamingExecutor.execute
+
+    def execute(self, dag, *args, **kwargs):
+        stack = [dag]
+        while stack:
+            op = stack.pop()
+            ops.append((type(op).__name__, op.name))
+            stack.extend(op.input_dependencies)
+        return orig(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", execute)
+    corpus = tmp_path / "pages.parquet"
+    pq.write_table(synthesize_pages_table(range(40)), str(corpus))
+    run_kg_pipeline(ray.data.read_parquet(str(corpus)),
+                    out_dir=str(tmp_path / "out"), num_buckets=4)
+    assert ops
+    assert "ActorPoolMapOperator" not in {kind for kind, _ in ops}
+    extract = [(kind, name) for kind, name in ops
+               if "MapBatches(_extract_batch)" in name]
+    assert extract and all(
+        kind == "TaskPoolMapOperator" and name ==
+        "MapBatches(extract_text_batch)->MapBatches(_extract_batch)->Write"
+        for kind, name in extract), extract
 
 
 def test_per_doc_ttl_parity_layout(ray_session, tmp_path):
@@ -146,7 +187,7 @@ def test_per_doc_ttl_parity_layout(ray_session, tmp_path):
     from cmc_knowledge_graph_text2ttl_ray.functions.turtle import parse_turtle
 
     out = str(tmp_path / "per_doc")
-    recs = extraction_records(pages_dataset(40, override_num_blocks=2), concurrency=2)
+    recs = extraction_records(pages_dataset(40, override_num_blocks=2))
     written = write_ttl_per_doc(recs, out, prefixes=collect_prefixes(default_plans()))
     df = written.to_pandas()
     assert len(df) == 40 - 40 // 10  # empty pages produce no file
@@ -176,8 +217,8 @@ def test_kg_pipeline_canonical_join_mode(ray_session, tmp_path):
     from cmc_knowledge_graph_text2ttl_ray.pipelines.kg import run_kg_pipeline
     from cmc_knowledge_graph_text2ttl_ray.sources.pages import pages_dataset
 
-    r1 = run_kg_pipeline(pages_dataset(60, override_num_blocks=3), concurrency=2)
-    r2 = run_kg_pipeline(pages_dataset(60, override_num_blocks=3), concurrency=2,
+    r1 = run_kg_pipeline(pages_dataset(60, override_num_blocks=3))
+    r2 = run_kg_pipeline(pages_dataset(60, override_num_blocks=3),
                          canonical_mode="join")
     cols = ["subject", "predicate", "object", "object_kind"]
     t1 = r1["triples"].to_pandas()[cols].sort_values(cols).reset_index(drop=True)
@@ -196,19 +237,18 @@ def test_kg_pipeline_canonical_auto_mode(ray_session, tmp_path):
 
     cols = ["subject", "predicate", "object", "object_kind"]
     # small corpus, default threshold → broadcast (mapping_df populated)
-    r_b = run_kg_pipeline(pages_dataset(60, override_num_blocks=3),
-                          concurrency=2)
+    r_b = run_kg_pipeline(pages_dataset(60, override_num_blocks=3))
     assert r_b["entity_mapping"] is not None
     # threshold 0 → every corpus is "too big" → join path (mapping_df None)
     r_j = run_kg_pipeline(pages_dataset(60, override_num_blocks=3),
-                          concurrency=2, canonical_broadcast_rows=0)
+                          canonical_broadcast_rows=0)
     assert r_j["entity_mapping"] is None
     t_b = r_b["triples"].to_pandas()[cols].sort_values(cols).reset_index(drop=True)
     t_j = r_j["triples"].to_pandas()[cols].sort_values(cols).reset_index(drop=True)
     assert t_b.equals(t_j)
     # checkpointed records exercise the parquet-metadata count branch
     r_c = run_kg_pipeline(pages_dataset(60, override_num_blocks=3),
-                          concurrency=2, canonical_broadcast_rows=0,
+                          canonical_broadcast_rows=0,
                           out_dir=str(tmp_path / "o"), num_buckets=4)
     assert r_c["entity_mapping"] is None
     t_c = r_c["triples"].to_pandas()[cols].sort_values(cols).reset_index(drop=True)
@@ -225,7 +265,7 @@ def test_metrics_written_via_ray(ray_session, tmp_path):
 
     out = str(tmp_path / "o")
     run_kg_pipeline(pages_dataset(40, override_num_blocks=2), out_dir=out,
-                    concurrency=2, num_buckets=4)
+                    num_buckets=4)
     m = ray.data.read_parquet(f"{out}/metrics").to_pandas()
     assert len(m) > 0
     assert {"doc_url", "workflow", "score"} <= set(m.columns)
@@ -291,8 +331,8 @@ def test_ttl_sink_writes_through_filesystem_abstraction(ray_session, tmp_path):
     )
     from cmc_knowledge_graph_text2ttl_ray.stages.triples import collect_prefixes
 
-    recs = extraction_records(pages_dataset(40, override_num_blocks=2),
-                              concurrency=2).materialize()
+    recs = extraction_records(
+        pages_dataset(40, override_num_blocks=2)).materialize()
     import pyarrow.compute as pc
 
     triples = recs.map_batches(
@@ -379,8 +419,9 @@ def _run_script(body, env, cwd, timeout):
 
 
 def test_build_at_one_cpu_matches_golden(tmp_path):
-    """At 1 Ray CPU the extractor pool must leave the read tasks a CPU
-    (it used to hold the only one and the build stalled)."""
+    """At 1 Ray CPU the build finishes and matches the golden triples
+    (an extractor actor pool once held the only CPU and the build
+    stalled)."""
     import json
 
     proc = _run_script("""

@@ -286,7 +286,7 @@ class TestPipelineQuadOutput:
 
         pages = pages_dataset(60, override_num_blocks=4)
         run_kg_pipeline(pages, out_dir=str(tmp_path),
-                        output_format="nquads", concurrency=2)
+                        output_format="nquads")
         nq_dir = os.path.join(tmp_path, "nq")
         mani = read_manifest(nq_dir)
         assert mani["format"] == "nquads"
@@ -299,8 +299,7 @@ class TestPipelineQuadOutput:
         # every quad carries a per-document graph IRI
         assert all(r[6] for r in rows)
         # graph set == minted doc urls that produced triples
-        ttl_run = run_kg_pipeline(pages, out_dir=str(tmp_path / "t"),
-                                   concurrency=2)
+        ttl_run = run_kg_pipeline(pages, out_dir=str(tmp_path / "t"))
         n_ttl = sum(e["n_triples"]
                     for e in ttl_run["manifest"]["buckets"].values())
         # quads >= deduped triples: the same triple from two docs is two quads

@@ -19,7 +19,7 @@ def test_wave_resume_skips_completed(ray_session, tmp_path):
         os.path.join(src, f) for f in os.listdir(src) if f.endswith(".parquet")
     )
     out = str(tmp_path / "out")
-    res1 = run_kg_pipeline_waves(files, out, wave_size=3, concurrency=2)
+    res1 = run_kg_pipeline_waves(files, out, wave_size=3)
     assert len(res1["waves"]) == 3  # 8 files / 3 per wave
     total1 = sum(b["n_triples"] for b in res1["manifest"]["buckets"].values())
     assert total1 > 0
@@ -38,7 +38,7 @@ def test_wave_resume_skips_completed(ray_session, tmp_path):
         json.dump(waves, fh)
     kept_mtime = os.path.getmtime(os.path.join(out, "records", "wave=00000"))
 
-    res2 = run_kg_pipeline_waves(files, out, wave_size=3, concurrency=2)
+    res2 = run_kg_pipeline_waves(files, out, wave_size=3)
     total2 = sum(b["n_triples"] for b in res2["manifest"]["buckets"].values())
     assert total2 == total1
     # completed wave untouched
@@ -107,7 +107,7 @@ def test_records_checkpoint_invalidated_on_plan_change(ray_session, tmp_path):
 
     out = str(tmp_path / "o")
     pages = pages_dataset(40, override_num_blocks=2)
-    r1 = run_kg_pipeline(pages, out_dir=out, concurrency=2, num_buckets=4)
+    r1 = run_kg_pipeline(pages, out_dir=out, num_buckets=4)
     n1 = sum(b["n_triples"] for b in r1["manifest"]["buckets"].values())
 
     tiny = compile_workflow(
@@ -117,7 +117,7 @@ def test_records_checkpoint_invalidated_on_plan_change(ray_session, tmp_path):
         name="tiny",
     )
     pages2 = pages_dataset(40, override_num_blocks=2)
-    r2 = run_kg_pipeline(pages2, out_dir=out, concurrency=2, num_buckets=4,
+    r2 = run_kg_pipeline(pages2, out_dir=out, num_buckets=4,
                          plans=[tiny], resume=False)
     n2 = sum(b["n_triples"] for b in r2["manifest"]["buckets"].values())
     assert n2 < n1  # records were regenerated with the tiny plan
@@ -125,7 +125,7 @@ def test_records_checkpoint_invalidated_on_plan_change(ray_session, tmp_path):
     # resume=True with the tiny plan again: checkpoint fingerprint matches →
     # records reused, same result
     pages3 = pages_dataset(40, override_num_blocks=2)
-    r3 = run_kg_pipeline(pages3, out_dir=out, concurrency=2, num_buckets=4,
+    r3 = run_kg_pipeline(pages3, out_dir=out, num_buckets=4,
                          plans=[tiny], resume=True)
     # ttl manifest resume skips all buckets; counts retained from r2 manifest
     assert sum(b["n_triples"] for b in r3["manifest"]["buckets"].values()) == n2
@@ -140,7 +140,7 @@ def test_ttl_manifest_invalidated_on_plan_change_with_resume(ray_session, tmp_pa
 
     out = str(tmp_path / "o")
     r1 = run_kg_pipeline(pages_dataset(40, override_num_blocks=2), out_dir=out,
-                         concurrency=2, num_buckets=4)
+                         num_buckets=4)
     n1 = sum(b["n_triples"] for b in r1["manifest"]["buckets"].values())
 
     tiny = compile_workflow(
@@ -151,7 +151,7 @@ def test_ttl_manifest_invalidated_on_plan_change_with_resume(ray_session, tmp_pa
     )
     # resume=True (the default path a user hits), different plan set
     r2 = run_kg_pipeline(pages_dataset(40, override_num_blocks=2), out_dir=out,
-                         concurrency=2, num_buckets=4, plans=[tiny], resume=True)
+                         num_buckets=4, plans=[tiny], resume=True)
     n2 = sum(b["n_triples"] for b in r2["manifest"]["buckets"].values())
     assert 0 < n2 < n1  # buckets were rewritten with the new plan, not skipped
 
@@ -170,7 +170,7 @@ def test_wave_retry_clears_partial_records(ray_session, tmp_path):
         os.path.join(src, f) for f in os.listdir(src) if f.endswith(".parquet")
     )
     out = str(tmp_path / "out")
-    res1 = run_kg_pipeline_waves(files, out, wave_size=2, concurrency=2)
+    res1 = run_kg_pipeline_waves(files, out, wave_size=2)
     recs_dir = os.path.join(out, "records")
     n_rows_clean = ray.data.read_parquet(recs_dir, file_extensions=["parquet"]).count()
 
@@ -181,7 +181,7 @@ def test_wave_retry_clears_partial_records(ray_session, tmp_path):
     with open(os.path.join(out, "waves.json"), "w") as fh:
         json.dump(waves, fh)
     # leave the partial files in place (the crash scenario) and retry
-    res2 = run_kg_pipeline_waves(files, out, wave_size=2, concurrency=2)
+    res2 = run_kg_pipeline_waves(files, out, wave_size=2)
     n_rows_retry = ray.data.read_parquet(recs_dir, file_extensions=["parquet"]).count()
     assert n_rows_retry == n_rows_clean  # no duplicated wave records
     t1 = sum(b["n_triples"] for b in res1["manifest"]["buckets"].values())
@@ -222,10 +222,9 @@ def test_waves_canonical_join_mode(ray_session, tmp_path):
     files = sorted(
         os.path.join(src, f) for f in os.listdir(src) if f.endswith(".parquet")
     )
-    r_b = run_kg_pipeline_waves(files, str(tmp_path / "o1"), wave_size=2,
-                                concurrency=2)
+    r_b = run_kg_pipeline_waves(files, str(tmp_path / "o1"), wave_size=2)
     r_j = run_kg_pipeline_waves(files, str(tmp_path / "o2"), wave_size=2,
-                                concurrency=2, canonical_mode="join")
+                                canonical_mode="join")
     tb = sum(b["n_triples"] for b in r_b["manifest"]["buckets"].values())
     tj = sum(b["n_triples"] for b in r_j["manifest"]["buckets"].values())
     assert tb == tj > 0
@@ -260,17 +259,17 @@ def test_waves_resume_across_layout_migration(ray_session, tmp_path):
 
     os.makedirs(os.path.join(out, "records"), exist_ok=True)
     flat_dir = os.path.join(out, "records", "wave=00000")
-    extraction_records(ray.data.read_parquet(files[:1]),
-                       concurrency=2).write_parquet(flat_dir)
+    extraction_records(
+        ray.data.read_parquet(files[:1])).write_parquet(flat_dir)
     with open(os.path.join(out, "waves.json"), "w") as fh:
         json.dump({"wave=00000": {"files": files[:1],
                                   "records_dir": flat_dir}}, fh)
 
-    res = run_kg_pipeline_waves(files, out, wave_size=1, concurrency=2,
+    res = run_kg_pipeline_waves(files, out, wave_size=1,
                                 num_buckets=4)
     total = sum(b["n_triples"] for b in res["manifest"]["buckets"].values())
     # both waves' triples must be present: compare against a direct run
-    direct = extraction_records(ray.data.read_parquet(files), concurrency=2)
+    direct = extraction_records(ray.data.read_parquet(files))
     n_direct = direct.map_batches(
         lambda t: t.filter(pc.equal(t["rec"], "triple")),
         batch_format="pyarrow").count()

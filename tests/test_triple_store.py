@@ -117,9 +117,9 @@ def test_incremental_update_keeps_store_in_step(ray_session, tmp_path):
     def pages(rng):
         return ray.data.from_arrow(synthesize_pages_table(list(rng)))
 
-    kg_incremental_update(pages(range(0, 20)), root, concurrency=2,
+    kg_incremental_update(pages(range(0, 20)), root,
                           store_dir=sdir)
-    kg_incremental_update(pages(range(10, 30)), root, concurrency=2,
+    kg_incremental_update(pages(range(10, 30)), root,
                           store_dir=sdir)
     want = _spo(ttl_dataset(root))
     got = _spo(TripleStore(sdir).scan())

@@ -74,7 +74,7 @@ def test_ttl_kg_sink_roundtrip(ray_session, tmp_path):
         write_ttl_partitions,
     )
 
-    res = run_kg_pipeline(pages_dataset(60), concurrency=2)
+    res = run_kg_pipeline(pages_dataset(60))
     triples = res["triples"]
     out = tmp_path / "kg"
     write_ttl_partitions(triples, str(out), num_buckets=3)
