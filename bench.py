@@ -251,6 +251,10 @@ def run_workload(num_cpus: int) -> dict:
         "queries": queries,
         "sf": SF_DIR,
         "num_cpus": num_cpus,
+        # the host's real core count: `nproc` follows OMP_NUM_THREADS,
+        # so it can print 1 on a multi-core host
+        "host_cpus": len(os.sched_getaffinity(0)),
+        "omp_num_threads": os.environ.get("OMP_NUM_THREADS"),
         "n_pages": int(n_pages),
         "n_triples": int(n_triples),
         "pages_per_sec": round(n_pages / kg_wall, 1),

@@ -151,7 +151,6 @@ def cmd_run(args) -> int:
         out_dir=args.out,
         num_buckets=args.num_buckets,
         resume=not args.no_resume,
-        canonical_mode=args.canonical_mode,
         ttl_compression=("gzip" if args.ttl_gzip else None),
         output_format=args.output_format,
         # pdf: sources are a lazy map plan (schema unknown without running
@@ -299,9 +298,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--ttl-gzip", action="store_true",
                        help="write gzip'd TTL shards (8-10x smaller; "
                             "storage-bandwidth-bound sinks)")
-    p_run.add_argument("--canonical-mode",
-                       choices=["auto", "broadcast", "join"],
-                       default="auto", dest="canonical_mode")
     p_run.add_argument("--output-format",
                        choices=["turtle", "nquads", "trig", "jsonld"],
                        default="turtle", dest="output_format",

@@ -114,7 +114,10 @@ def default_join_partitions(divisor: int = 4, floor: int = 2) -> int:
 # 100k vs 1.6M: 1.6 vs 9.4 s); at 1.6M they tie against a 3.2M stream
 # (25.7 vs 26.0 s) and at 3.2M the shuffle wins (56 vs 37 s), because
 # every probe block rebuilds the small side's hash table. 0 disables
-# the tier.
+# the tier. The same gate picks the build's canonical rewrite
+# (stages/canonicalize.py::canonicalize_triples): at most this many
+# rec='entity' rows take the ray.put dict rewrite, more take the two-join
+# rewrite.
 BROADCAST_JOIN_ROWS = 800_000
 
 

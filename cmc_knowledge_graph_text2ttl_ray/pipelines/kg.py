@@ -4,12 +4,17 @@ Topology (SURVEY.md §3.4):
 
     pages (Parquet / synthesized)                      url, warc_ts, html, text, lang
       └─ map_batches(extract_text)                     html → text, zero-copy Arrow
-      └─ map_batches(TripleExtractor per batch)        same task as extract_text
-      └─ [records parquet checkpoint when out_dir]     triple/stats/error records
-      └─ canonicalize (2-level partial-agg groupby +   shuffle #1 (distinct variants
-         broadcast rewrite)                             only — skew pre-collapsed)
-      └─ dedup (in-block combiner + hash groupby)      shuffle #2
-      └─ bucketed TTL shards + manifest + metrics      resumable per-partition sink
+      └─ map_batches(TripleExtractor per batch)        same task; triple/stats/error
+                                                       rows + rec='entity' votes
+      └─ [records parquet checkpoint when out_dir]     same task
+      └─ canonicalize: ONE gate, entity rows vs        ≤ gate: broadcast dict rewrite,
+         cluster.BROADCAST_JOIN_ROWS                    no shuffle; > gate: 2 hash joins
+      └─ bucketed shards + manifest + metrics          the one exchange: dedup is fused
+                                                       into the sink's bucket shuffle
+
+The returned ``triples`` is a lazy ``dedup_triples`` of the canonical rows
+for API consumers; it runs its own shuffle only when consumed, never as
+part of the sink.
 
 All stages stream; nothing materializes the full corpus except the optional
 records checkpoint (which at 100 TB is the restartability boundary between
@@ -31,8 +36,7 @@ from cmc_knowledge_graph_text2ttl_ray.stages.triples import (
     collect_prefixes,
 )
 from cmc_knowledge_graph_text2ttl_ray.stages.canonicalize import (
-    apply_canonical_mapping,
-    mapping_from_entity_records,
+    canonicalize_triples,
 )
 from cmc_knowledge_graph_text2ttl_ray.stages.dedup_triples import dedup_triples
 from cmc_knowledge_graph_text2ttl_ray.stages.sinks import write_ttl_partitions
@@ -150,8 +154,6 @@ def run_kg_pipeline(
     resume: bool = True,
     checkpoint_records: bool = True,
     kb_ttl: str | None = None,
-    canonical_mode: str = "auto",
-    canonical_broadcast_rows: int = 2_000_000,
     source: str = "auto",
     ttl_compression: str | None = None,
     output_format: str = "turtle",
@@ -166,11 +168,12 @@ def run_kg_pipeline(
     checkpoint — at production scale the checkpoint IS the restart
     boundary and stays on).
 
-    ``canonical_mode="auto"`` (default) counts the entity partial rows and
-    picks the broadcast rewrite while they fit ``canonical_broadcast_rows``
-    (driver-safe by construction — the count IS the collected volume),
-    flipping to the fully-distributed join rewrite beyond it. Explicit
-    ``"broadcast"`` / ``"join"`` still force a path.
+    Canonicalization is one gate
+    (:func:`~cmc_knowledge_graph_text2ttl_ray.stages.canonicalize.canonicalize_triples`):
+    a broadcast dict rewrite while the rec='entity' rows fit
+    ``functions.cluster.BROADCAST_JOIN_ROWS``, the two-join rewrite beyond
+    it. ``entity_mapping`` in the result is the broadcast tier's mapping
+    DataFrame, or ``None`` on the join tier.
     """
     if output_format not in ("turtle", "nquads", "trig", "jsonld"):
         raise ValueError(
@@ -253,47 +256,13 @@ def run_kg_pipeline(
         triples = recs.map_batches(_filter_rec("triple"), batch_format="pyarrow")
         stats = recs.map_batches(_filter_rec("stats"), batch_format="pyarrow")
         errors = recs.map_batches(_filter_rec("error"), batch_format="pyarrow")
-        entity_src = recs
+        entity_src = recs.map_batches(_filter_rec("entity"),
+                                      batch_format="pyarrow")
     timings["extract"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if canonical_mode == "auto":
-        # The broadcast path collects every rec='entity' partial row to the
-        # driver to build the mapping dict; its row count IS the collected
-        # volume, so it is the exact safety bound (round-3 verdict: callers
-        # shouldn't need to know when distinct surfaces outgrow a dict).
-        # On the checkpointed path the count is parquet-metadata cheap; on
-        # the pinned path it's one scan of the already-materialized records.
-        if out_dir and checkpoint_records:
-            ent_rows = entity_src.count()
-        else:
-            def _ent_count(t):
-                n = (t.filter(pc.equal(t["rec"], "entity")).num_rows
-                     if "rec" in t.column_names else t.num_rows)
-                return pa.table({"n": pa.array([n], pa.int64())})
-
-            ent_rows = int(
-                entity_src.map_batches(_ent_count, batch_format="pyarrow")
-                .sum("n") or 0)
-        canonical_mode = ("join" if ent_rows > canonical_broadcast_rows
-                          else "broadcast")
-    if canonical_mode == "join":
-        # 100-TB path: mapping stays a Dataset end-to-end; the rewrite is
-        # two hash joins. Use when distinct surface forms outgrow a
-        # broadcastable dict (≳ tens of millions).
-        from cmc_knowledge_graph_text2ttl_ray.stages.canonicalize import (
-            apply_canonical_mapping_join,
-            canonicalization_mapping_ds,
-        )
-
-        mapping_ds = canonicalization_mapping_ds(entity_src, entity_ns)
-        canonical = apply_canonical_mapping_join(triples, mapping_ds)
-        mapping_df = None
-    else:
-        mapping_df = mapping_from_entity_records(entity_src, entity_ns)
-        mapping = {r.iri: r.canonical for r in mapping_df.itertuples()
-                   if r.iri != r.canonical}
-        canonical = apply_canonical_mapping(triples, mapping)
+    canonical, mapping_df = canonicalize_triples(triples, entity_src,
+                                                 entity_ns)
     timings["canonicalize"] = time.perf_counter() - t0
     deduped = dedup_triples(canonical)
 
@@ -396,7 +365,6 @@ def run_kg_pipeline_waves(
     wave_size: int = 8,
     entity_ns: str = ENTITY_NS,
     num_buckets: int = 64,
-    canonical_mode: str = "auto",
 ):
     """Input-fragment-level checkpointed pipeline (north rule: resumable
     per-partition checkpoints with lineage).
@@ -478,22 +446,8 @@ def run_kg_pipeline_waves(
         return out
 
     triples = _kind_ds("triple")
-    entity_src = _kind_ds("entity")
-    if canonical_mode == "join":
-        from cmc_knowledge_graph_text2ttl_ray.stages.canonicalize import (
-            apply_canonical_mapping_join,
-            canonicalization_mapping_ds,
-        )
-
-        mapping_df = None
-        canonical = apply_canonical_mapping_join(
-            triples, canonicalization_mapping_ds(entity_src, entity_ns)
-        )
-    else:
-        mapping_df = mapping_from_entity_records(entity_src, entity_ns)
-        mapping = {r.iri: r.canonical for r in mapping_df.itertuples()
-                   if r.iri != r.canonical}
-        canonical = apply_canonical_mapping(triples, mapping)
+    canonical, mapping_df = canonicalize_triples(
+        triples, _kind_ds("entity"), entity_ns)
     prefixes = collect_prefixes(plans)
     manifest = write_ttl_partitions(
         canonical, os.path.join(out_dir, "ttl"), prefixes=prefixes,

@@ -8,18 +8,23 @@ variants and rewrites the graph onto one canonical URI per entity.
 
 Scale design (SURVEY §7.4):
 
-- Cluster key = case/whitespace-normalized local name.
-- The candidate table is built with a two-level aggregate:
-  (1) per-batch partial counts inside ``map_batches`` (combiner — cuts the
-      shuffle to distinct (key, iri) pairs per block, not per mention), then
-  (2) ``groupby(key, iri).sum`` + ``groupby(key)`` arg-max. Hot entities
-      (one surface on 20% of pages) are therefore already collapsed to ONE
-      row per block before any shuffle — the classic salting concern applies
-      to mention *rows*, which never enter the shuffle here.
-- The finished mapping (distinct entities, small by construction) is
-  broadcast via ``ray.put`` once and applied inside ``map_batches`` with a
-  dictionary-encode + map-unique-values rewrite, so the wide triple table is
-  never shuffled at all for the rewrite.
+- The votes are the ``rec='entity'`` rows the extraction tasks emit: one
+  (IRI, mention count) partial per entity per batch, so hot entities (one
+  surface on 20% of pages) are collapsed before anything leaves the task
+  and the mapping build never scans the triple table.
+- Cluster key = case/whitespace-normalized local name; the canonical member
+  is the highest total count, ties broken lexicographically
+  (:func:`_argmax`, one pandas arg-max for both tiers).
+- :func:`canonicalize_triples` is the one entry point. It gates on the
+  entity row count against ``functions.cluster.BROADCAST_JOIN_ROWS``, the
+  package's shared small-side gate:
+  - at or below it, the vote rows are reduced on the driver and the
+    mapping dict goes to the object store once (``ray.put``); every block
+    rewrites itself with a dictionary-encode + map-unique-values pass, so
+    the wide triple table is never shuffled;
+  - above it, the mapping stays a Dataset
+    (:func:`canonicalization_mapping_ds`, one exchange) and the rewrite is
+    two left-outer hash joins (:func:`apply_canonical_mapping_join`).
 """
 
 from __future__ import annotations
@@ -28,14 +33,15 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from cmc_knowledge_graph_text2ttl_ray.functions import cluster
+
 __all__ = [
-    "canonicalization_mapping",
+    "canonicalize_triples",
     "canonicalization_mapping_ds",
     "mapping_from_entity_records",
     "apply_canonical_mapping",
     "apply_canonical_mapping_join",
     "detect_entity_salt",
-    "canonicalize_entities",
 ]
 
 
@@ -49,78 +55,57 @@ def _norm_key(local: pa.Array) -> pa.Array:
     return pc.replace_substring_regex(lowered, "_+", "_")
 
 
-def canonicalization_mapping(triples_ds, entity_ns: str):
-    """Build the variant→canonical IRI mapping as a small pandas DataFrame.
+def _entity_votes(t: pa.Table, entity_ns: str) -> pa.Table:
+    """rec='entity' rows → (key, iri, cnt) votes."""
+    iri = t["subject"].combine_chunks().cast(pa.string())
+    return pa.table({
+        "key": _norm_key(_local_name(iri, entity_ns)),
+        "iri": iri,
+        "cnt": t["no_triples"].combine_chunks().cast(pa.int64()),
+    })
 
-    ``triples_ds`` is the extraction-record dataset; every IRI in ``subject``
-    or ``object`` under ``entity_ns`` is a mention vote. Canonical member =
-    highest total count, ties broken lexicographically (deterministic).
+
+def _argmax(votes: pd.DataFrame) -> pd.DataFrame:
+    """(key, iri, cnt) votes → (iri, canonical) for every voted IRI,
+    identity rows included: per key the max total count wins, the
+    lexicographically smallest IRI breaks ties."""
+    if votes.empty:
+        return pd.DataFrame({"iri": pd.Series(dtype=object),
+                             "canonical": pd.Series(dtype=object)})
+    g = votes.groupby(["key", "iri"], as_index=False)["cnt"].sum()
+    g = g.sort_values(["key", "cnt", "iri"], ascending=[True, False, True])
+    canon = g.groupby("key", sort=False)["iri"].first().rename("canonical")
+    out = g.merge(canon, left_on="key", right_index=True)
+    return out[["iri", "canonical"]].reset_index(drop=True)
+
+
+def _votes_ds(entity_ds, entity_ns: str):
+    return entity_ds.map_batches(_entity_votes, batch_format="pyarrow",
+                                 fn_kwargs={"entity_ns": entity_ns})
+
+
+def mapping_from_entity_records(entity_ds, entity_ns: str) -> pd.DataFrame:
+    """Build the mapping on the driver from rec='entity' rows."""
+    return _argmax(_votes_ds(entity_ds, entity_ns).to_pandas())
+
+
+def canonicalize_triples(triples_ds, entity_ds, entity_ns: str):
+    """Rewrite ``triples_ds`` onto one canonical IRI per entity.
+
+    ``entity_ds`` holds the extraction's rec='entity' rows. Returns
+    ``(canonical_ds, mapping_df)``: ``mapping_df`` is the full mapping
+    (identity rows included) on the broadcast tier and ``None`` on the
+    join tier, where it never leaves the cluster.
     """
-
-    def partial_counts(batch: pa.Table) -> pa.Table:
-        cols = []
-        subj = batch["subject"]
-        cols.append(subj.filter(pc.starts_with(subj, entity_ns)).combine_chunks())
-        obj = batch["object"]
-        is_ent_obj = pc.and_(
-            pc.equal(batch["object_kind"], "iri"), pc.starts_with(obj, entity_ns)
-        )
-        cols.append(obj.filter(is_ent_obj).combine_chunks())
-        iris = pa.concat_arrays([c.cast(pa.string()) for c in cols])
-        if len(iris) == 0:
-            return pa.table(
-                {"key": pa.array([], pa.string()), "iri": pa.array([], pa.string()),
-                 "cnt": pa.array([], pa.int64())}
-            )
-        counts = iris.value_counts()  # per-batch combiner
-        variants = counts.field("values")
-        key = _norm_key(_local_name(variants, entity_ns))
-        return pa.table({"key": key, "iri": variants, "cnt": counts.field("counts").cast(pa.int64())})
-
-    partial = triples_ds.map_batches(partial_counts, batch_format="pyarrow")
-    # The partials are DISTINCT (key, iri) pairs per block — small by
-    # construction — so the final combine is a driver-side pandas groupby
-    # instead of a Ray shuffle (one less all-to-all; at extreme entity
-    # cardinality switch back to partial.groupby(["key","iri"]).sum("cnt")).
-    pdf = partial.to_pandas()
-    if pdf.empty:
-        return pd.DataFrame(columns=["iri", "canonical"])
-    col = "cnt"
-    pdf = pdf.groupby(["key", "iri"], as_index=False)["cnt"].sum()
-    # Arg-max per key: max count, then lexicographically smallest IRI.
-    pdf = pdf.sort_values(["key", col, "iri"], ascending=[True, False, True])
-    canon = pdf.groupby("key", sort=False).first().rename(columns={"iri": "canonical"})
-    out = pdf.merge(canon["canonical"], left_on="key", right_index=True)
-    return out[["iri", "canonical"]].reset_index(drop=True)
-
-
-def _argmax_mapping(pdf: pd.DataFrame, entity_ns: str) -> pd.DataFrame:
-    """(iri, cnt) rows → variant→canonical mapping (max count, lex-min ties)."""
-    if pdf.empty:
-        return pd.DataFrame(columns=["iri", "canonical"])
-    import pyarrow as _pa
-
-    iri_arr = _pa.array(pdf["iri"], _pa.string())
-    pdf = pdf.assign(key=_norm_key(_local_name(iri_arr, entity_ns)).to_pylist())
-    pdf = pdf.groupby(["key", "iri"], as_index=False)["cnt"].sum()
-    pdf = pdf.sort_values(["key", "cnt", "iri"], ascending=[True, False, True])
-    canon = pdf.groupby("key", sort=False).first().rename(columns={"iri": "canonical"})
-    out = pdf.merge(canon["canonical"], left_on="key", right_index=True)
-    return out[["iri", "canonical"]].reset_index(drop=True)
-
-
-def mapping_from_entity_records(records_ds, entity_ns: str) -> pd.DataFrame:
-    """Build the mapping from rec='entity' partial-count rows emitted by the
-    extraction tasks — no extra pass over the triple table."""
-    def _ent(t: pa.Table) -> pa.Table:
-        # A rec-partitioned checkpoint read arrives pre-filtered without the
-        # rec column; mixed record streams still carry it.
-        if "rec" in t.column_names:
-            t = t.filter(pc.equal(t["rec"], "entity"))
-        return pa.table({"iri": t["subject"], "cnt": t["no_triples"]})
-
-    ent = records_ds.map_batches(_ent, batch_format="pyarrow")
-    return _argmax_mapping(ent.to_pandas(), entity_ns)
+    # the row count IS the volume the broadcast tier collects to the
+    # driver; on a Parquet checkpoint it is a metadata read
+    if entity_ds.count() <= cluster.BROADCAST_JOIN_ROWS:
+        mapping_df = mapping_from_entity_records(entity_ds, entity_ns)
+        mapping = {r.iri: r.canonical for r in mapping_df.itertuples()
+                   if r.iri != r.canonical}
+        return apply_canonical_mapping(triples_ds, mapping), mapping_df
+    mapping_ds = canonicalization_mapping_ds(entity_ds, entity_ns)
+    return apply_canonical_mapping_join(triples_ds, mapping_ds), None
 
 
 def apply_canonical_mapping(triples_ds, mapping: dict[str, str]):
@@ -161,47 +146,21 @@ def apply_canonical_mapping(triples_ds, mapping: dict[str, str]):
     return triples_ds.map_batches(rewrite, batch_format="pyarrow")
 
 
-def canonicalization_mapping_ds(records_ds, entity_ns: str,
-                                num_coarse: int | None = 32):
-    """Fully-DISTRIBUTED mapping build (the 100-TB path; round-1 verdict:
-    the driver-side pandas arg-max caps out when distinct surface forms run
-    to billions). ONE exchange: rec='entity' partial rows hash-partition by
-    ``key`` alone, so each coarse task holds every (key, iri) vote of its
-    keys and does the sum AND the per-key arg-max in the same vectorized
-    pass — a (key, iri) groupby().aggregate here would pay Ray's
-    per-distinct-group overhead (see coarse_group_reduce) and still need a
-    second exchange for the arg-max. Nothing touches the driver."""
-    from cmc_knowledge_graph_text2ttl_ray.functions.cluster import (
-        coarse_group_reduce,
-    )
+def canonicalization_mapping_ds(entity_ds, entity_ns: str):
+    """Fully-distributed mapping build for the join tier: ONE exchange.
+    The votes hash-partition by ``key`` alone, so each coarse task holds
+    every (key, iri) vote of its keys and does the sum AND the per-key
+    arg-max in one vectorized pass — a (key, iri) groupby().aggregate here
+    would pay Ray's per-distinct-group overhead (see coarse_group_reduce)
+    and still need a second exchange for the arg-max. Identity rows are
+    dropped; nothing touches the driver."""
 
-    def ent_rows(t: pa.Table) -> pa.Table:
-        ent = (t.filter(pc.equal(t["rec"], "entity"))
-               if "rec" in t.column_names else t)
-        iri = ent["subject"].combine_chunks().cast(pa.string())
-        return pa.table({
-            "key": _norm_key(_local_name(iri, entity_ns)),
-            "iri": iri,
-            "cnt": ent["no_triples"].combine_chunks().cast(pa.int64()),
-        })
+    def variants(g: pd.DataFrame) -> pd.DataFrame:
+        out = _argmax(g)
+        return out[out["iri"] != out["canonical"]]
 
-    def sum_argmax(g: pd.DataFrame) -> pd.DataFrame:
-        # vectorized arg-max over ALL keys of the coarse partition at once:
-        # max count, lexicographically-smallest IRI tie-break
-        if g.empty:
-            return pd.DataFrame({"iri": pd.Series(dtype=object),
-                                 "canonical": pd.Series(dtype=object)})
-        g = g.groupby(["key", "iri"], as_index=False)["cnt"].sum()
-        g = g.sort_values(["key", "cnt", "iri"], ascending=[True, False, True])
-        canon = g.groupby("key", sort=False)["iri"].first().rename("canonical")
-        out = g.merge(canon, left_on="key", right_index=True)
-        out = out[out["iri"] != out["canonical"]]
-        return out[["iri", "canonical"]]
-
-    return coarse_group_reduce(
-        records_ds.map_batches(ent_rows, batch_format="pyarrow"),
-        ["key"], sum_argmax, num_coarse=num_coarse,
-    )
+    return cluster.coarse_group_reduce(_votes_ds(entity_ds, entity_ns),
+                                       ["key"], variants)
 
 
 def detect_entity_salt(triples_ds, hot_k: int = 64,
@@ -260,9 +219,7 @@ def apply_canonical_mapping_join(triples_ds, mapping_ds,
     while output rows are byte-identical to the unsalted join (salt only
     moves WHERE a row is matched, never what it matches)."""
     if num_partitions is None:
-        from cmc_knowledge_graph_text2ttl_ray.functions.cluster import default_join_partitions
-
-        num_partitions = default_join_partitions()
+        num_partitions = cluster.default_join_partitions()
     # COMPACT the mapping side first (kg_query._compact rationale): the
     # coarse-reduce mapping build leaves EMPTY blocks for coarse
     # partitions that held no entity keys, and Ray's hash shuffle
@@ -333,15 +290,3 @@ def apply_canonical_mapping_join(triples_ds, mapping_ds,
         on=("object",), right_on=("iri",),
     ).map_batches(coalesce("object"), batch_format="pyarrow")
     return out
-
-
-def canonicalize_entities(triples_ds, entity_ns: str):
-    """Full canonicalization: mapping build (small shuffle) + broadcast
-    rewrite. Returns (rewritten_ds, mapping_df)."""
-    mapping_df = canonicalization_mapping(triples_ds, entity_ns)
-    mapping = {
-        r.iri: r.canonical
-        for r in mapping_df.itertuples()
-        if r.iri != r.canonical
-    }
-    return apply_canonical_mapping(triples_ds, mapping), mapping_df

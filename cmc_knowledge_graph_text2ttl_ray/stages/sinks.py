@@ -1,23 +1,35 @@
-"""Sinks: partitioned Turtle writer with manifest-based resume + metrics.
+"""Sinks: bucketed Turtle / N-Quads / TriG / JSON-LD shard writers with
+manifest-based resume.
 
 Replaces the reference's ``FileOutputHandler.write_turtle`` (one TTL per
 document, kg_text_to_ttl/text_to_turtle_processor.py:66-83) with a
-partitioned layout fit for 100 TB runs:
+partitioned layout fit for 100 TB runs. The public writers are thin
+callers of one private writer, :func:`_write_buckets`, which they hand
+their identity columns, bucket columns, serializer, extension and
+manifest count key:
 
-- Triples are bucketed by ``hash(triple identity) % num_buckets`` — one
-  output shard per bucket, written independently, so a failed run resumes by
+- Rows are bucketed by ``hash(bucket columns) % num_buckets`` — one output
+  shard per bucket, written independently, so a failed run resumes by
   skipping buckets already recorded in ``manifest.json`` (north rule:
-  per-partition checkpoints + lineage).
-- **Dedup is fused into the bucket shuffle**: identical triples hash to the
-  same bucket, so a vectorized in-group ``drop_duplicates`` (plus the
-  serializer's set semantics) gives global exact dedup with ONE all-to-all
-  exchange instead of two.
-- Within a bucket the triples are sorted before serialization, so shard
-  bytes are deterministic regardless of partitioning / execution order.
+  per-partition checkpoints + lineage). A layout change (format, or
+  plain ↔ gzip) invalidates the whole manifest.
+- **Dedup is fused into the bucket shuffle**: identical rows hash to the
+  same bucket, so an in-block pre-dedup before the exchange plus a
+  vectorized in-group ``drop_duplicates`` (and the serializer's set
+  semantics) give global exact dedup with ONE all-to-all exchange.
+- Within a bucket the serializer sorts the rows, so shard bytes are
+  deterministic regardless of partitioning / execution order.
+- All I/O goes through ``pyarrow.fs``: ``out_dir`` may be a local path, an
+  ``s3://``/``file://`` URI, or an fs-relative path paired with an injected
+  ``filesystem``. The resolved filesystem is pickled into the write tasks,
+  so every shard lands on the SAME storage regardless of which node runs
+  it (round-2 verdict: worker-local ``open()`` fragments shards).
 """
 
 from __future__ import annotations
 
+import functools
+import gzip
 import json
 import re
 
@@ -27,14 +39,11 @@ import pyarrow as pa
 from cmc_knowledge_graph_text2ttl_ray.functions import fsio
 
 from cmc_knowledge_graph_text2ttl_ray.functions.turtle import serialize_triples
-from cmc_knowledge_graph_text2ttl_ray.stages.dedup_triples import (
-    IDENTITY_COLS,
-    add_identity_hash,
-)
+from cmc_knowledge_graph_text2ttl_ray.stages.dedup_triples import IDENTITY_COLS
 
 __all__ = ["write_ttl_partitions", "write_ttl_per_doc", "read_manifest",
-           "write_quad_partitions", "records_to_quads", "mint_graph_iri",
-           "QUAD_IDENTITY_COLS"]
+           "write_quad_partitions", "write_jsonld_partitions",
+           "records_to_quads", "mint_graph_iri", "QUAD_IDENTITY_COLS"]
 
 
 def read_manifest(out_dir: str, filesystem=None) -> dict:
@@ -43,6 +52,100 @@ def read_manifest(out_dir: str, filesystem=None) -> dict:
     if fsio.exists(fs, path):
         return json.loads(fsio.read_text(fs, path))
     return {"buckets": {}}
+
+
+def _rows(df: pd.DataFrame, cols: list[str]) -> list[tuple]:
+    """DataFrame → row tuples over ``cols`` for the serializers: a missing
+    lang / datatype is ``None``, a missing graph ``""`` (default graph)."""
+
+    def values(c: str):
+        col = df[c]
+        if c in ("object_lang", "object_datatype", "graph"):
+            # astype(object) FIRST: on a float64 all-missing column,
+            # .where(..., None) keeps NaN (float64 can't hold None) and
+            # would leak '@nan' lang tags into the output
+            col = col.astype(object).where(col.notna(),
+                                           "" if c == "graph" else None)
+        return col.to_numpy()
+
+    # zip over numpy object arrays ≈ 5× faster than itertuples+isna
+    return list(zip(*(values(c) for c in cols)))
+
+
+def _write_buckets(ds, out_dir: str, *, identity_cols: list[str],
+                   bucket_cols: str | list[str], serialize, ext: str,
+                   count_key: str, layout: dict, num_buckets: int,
+                   resume: bool, filesystem) -> dict:
+    """The shared bucketed writer: one exchange on ``hash(bucket_cols) %
+    num_buckets``, one exactly-deduped ``part-NNNNN{ext}[.gz]`` shard per
+    bucket, and ``manifest.json`` (bucket → ``count_key`` + path, plus the
+    ``layout`` tags; ``compression: "gzip"`` among them gzips the shards).
+    Returns the manifest.
+
+    A single column name hashes as a Series, a list as a DataFrame: the
+    two give different values, and each format's bucket layout is fixed
+    by the one it has always used."""
+    fs, base = fsio.resolve_fs(out_dir, filesystem)
+    fsio.makedirs(fs, base)
+    manifest = read_manifest(out_dir, filesystem) if resume else {"buckets": {}}
+    # A layout change invalidates the whole manifest: otherwise resume
+    # would skip every bucket and silently keep the old layout, and a
+    # partial rewrite would leave BOTH part-N.ttl and part-N.ttl.gz for
+    # the readers to double-read (round-3 review). A manifest without a
+    # compression tag predates gzip shards, so it is plain.
+    if any(manifest.get(k, "none" if k == "compression" else v) != v
+           for k, v in layout.items()):
+        manifest = {"buckets": {}}
+    manifest.update(layout)
+    done = set(manifest["buckets"])
+    gz = layout.get("compression") == "gzip"
+
+    def pre(batch: pa.Table) -> pd.DataFrame:
+        df = batch.to_pandas()
+        # tolerate minimal sources (no lang/datatype columns)
+        for c in identity_cols:
+            if c not in df.columns:
+                df[c] = None
+        df = df[identity_cols].copy()
+        h = pd.util.hash_pandas_object(df[bucket_cols], index=False).to_numpy()
+        df["bucket"] = (h % num_buckets).astype("int64")
+        return df.drop_duplicates(subset=identity_cols)
+
+    def write_group(group: pd.DataFrame) -> pd.DataFrame:
+        bucket = int(group["bucket"].iloc[0])
+        if str(bucket) in done:
+            return pd.DataFrame({"bucket": [bucket], "n": [-1], "path": [""]})
+        rows = _rows(group.drop_duplicates(subset=identity_cols),
+                     identity_cols)
+        data = serialize(rows).encode("utf-8")
+        name = f"part-{bucket:05d}{ext}"
+        # drop the other layout's shard for this bucket, if a previous run
+        # wrote it — the readers take both extensions
+        try:
+            fs.delete_file(fsio.fs_join(
+                base, name + ("" if gz else ".gz")))
+        except OSError:
+            pass
+        if gz:
+            # text compresses 8-10×; on disk/network-bound storage the
+            # sink is bandwidth-limited (mtime=0: bytes stay deterministic)
+            name += ".gz"
+            data = gzip.compress(data, mtime=0)
+        path = fsio.fs_join(base, name)
+        fsio.replace_bytes(fs, path, data)  # atomic per-partition commit
+        return pd.DataFrame({"bucket": [bucket], "n": [len(set(rows))],
+                             "path": [path]})
+
+    written = (ds.map_batches(pre, batch_format="pyarrow")
+               .groupby("bucket")
+               .map_groups(write_group, batch_format="pandas").to_pandas())
+    for r in written.itertuples():
+        if r.n >= 0:
+            manifest["buckets"][str(int(r.bucket))] = {count_key: int(r.n),
+                                                       "path": r.path}
+    fsio.replace_text(fs, fsio.fs_join(base, "manifest.json"),
+                      json.dumps(manifest, indent=1, sort_keys=True))
+    return manifest
 
 
 def write_ttl_partitions(
@@ -57,88 +160,17 @@ def write_ttl_partitions(
     """Write the triple dataset as bucketed, exactly-deduped TTL shards.
 
     Returns the manifest dict (bucket → n_triples + path). Buckets present
-    in an existing manifest are skipped when ``resume``.
-
-    All I/O goes through ``pyarrow.fs`` (round-2 verdict: worker-local
-    ``open()`` fragments shards across nodes): ``out_dir`` may be a local
-    path, an ``s3://``/``file://`` URI, or an fs-relative path paired with
-    an injected ``filesystem``. The resolved filesystem is pickled into the
-    write tasks, so every shard lands on the SAME storage regardless of
-    which node runs it.
+    in an existing manifest are skipped when ``resume``;
+    ``compression="gzip"`` writes ``.ttl.gz`` shards, which ``ttl_dataset``
+    reads back.
     """
-    fs, base = fsio.resolve_fs(out_dir, filesystem)
-    fsio.makedirs(fs, base)
-    manifest = read_manifest(out_dir, filesystem) if resume else {"buckets": {}}
-    # A layout change (plain ↔ gzip) invalidates the whole manifest:
-    # otherwise resume would skip every bucket and silently keep the old
-    # layout, and a partial rewrite would leave BOTH part-N.ttl and
-    # part-N.ttl.gz for ttl_dataset to double-read (round-3 review).
-    comp_tag = compression or "none"
-    if manifest.get("compression", "none") != comp_tag:
-        manifest = {"buckets": {}}
-    manifest["compression"] = comp_tag
-    done = set(manifest["buckets"]) if resume else set()
-    prefixes = prefixes or {}
-
-    def pre(batch: pa.Table) -> pd.DataFrame:
-        df = add_identity_hash(batch, keep_cols=IDENTITY_COLS)
-        df["bucket"] = (df["h"] % num_buckets).astype("int64")
-        return df.drop(columns=["h"])
-
-    bucketed = triples_ds.map_batches(pre, batch_format="pyarrow")
-
-    def write_group(group: pd.DataFrame) -> pd.DataFrame:
-        bucket = int(group["bucket"].iloc[0])
-        if str(bucket) in done:
-            return pd.DataFrame({"bucket": [bucket], "n_triples": [-1], "path": ["<skipped>"]})
-        group = group.drop_duplicates(subset=IDENTITY_COLS)
-        # zip over numpy object arrays ≈ 5× faster than itertuples+isna
-        # astype(object) FIRST: on a float64 all-missing column, .where(...,
-        # None) keeps NaN (float64 can't hold None) and would leak '@nan'
-        # lang tags into the TTL
-        lg = group["object_lang"].astype(object).where(
-            group["object_lang"].notna(), None)
-        dt = group["object_datatype"].astype(object).where(
-            group["object_datatype"].notna(), None)
-        rows = list(zip(group["subject"].to_numpy(), group["predicate"].to_numpy(),
-                        group["object"].to_numpy(), group["object_kind"].to_numpy(),
-                        lg.to_numpy(), dt.to_numpy()))
-        ttl = serialize_triples(rows, prefixes)  # sorts + set-dedups
-        # drop the other layout's shard for this bucket, if a previous run
-        # wrote it — ttl_dataset reads both extensions
-        stale = fsio.fs_join(
-            base, f"part-{bucket:05d}.ttl" + ("" if compression == "gzip"
-                                              else ".gz"))
-        try:
-            fs.delete_file(stale)
-        except OSError:
-            pass
-        if compression == "gzip":
-            # TTL text compresses 8-10×; on disk/network-bound storage the
-            # sink is bandwidth-limited, so shards ship gzip'd (mtime=0:
-            # bytes stay deterministic). ttl_dataset reads .ttl.gz back.
-            import gzip as _gzip
-
-            path = fsio.fs_join(base, f"part-{bucket:05d}.ttl.gz")
-            fsio.replace_bytes(fs, path,
-                               _gzip.compress(ttl.encode("utf-8"), mtime=0))
-        else:
-            path = fsio.fs_join(base, f"part-{bucket:05d}.ttl")
-            fsio.replace_text(fs, path, ttl)  # atomic per-partition commit
-        return pd.DataFrame({"bucket": [bucket], "n_triples": [len(rows)], "path": [path]})
-
-    written = (
-        bucketed.groupby("bucket").map_groups(write_group, batch_format="pandas").to_pandas()
-    )
-    for r in written.itertuples():
-        if r.path != "<skipped>":
-            manifest["buckets"][str(int(r.bucket))] = {
-                "n_triples": int(r.n_triples),
-                "path": r.path,
-            }
-    fsio.replace_text(fs, fsio.fs_join(base, "manifest.json"),
-                      json.dumps(manifest, indent=1, sort_keys=True))
-    return manifest
+    return _write_buckets(
+        triples_ds, out_dir, identity_cols=IDENTITY_COLS,
+        bucket_cols=IDENTITY_COLS,
+        serialize=functools.partial(serialize_triples, prefixes=prefixes),
+        ext=".ttl", count_key="n_triples",
+        layout={"compression": compression or "none"},
+        num_buckets=num_buckets, resume=resume, filesystem=filesystem)
 
 
 def write_ttl_per_doc(records_ds, out_dir: str, prefixes: dict[str, str] | None = None,
@@ -154,8 +186,6 @@ def write_ttl_per_doc(records_ds, out_dir: str, prefixes: dict[str, str] | None 
     is :func:`write_ttl_partitions`. One task per group of documents; file
     name = cleaned basename of the url.
     """
-    import pandas as pd
-
     from cmc_knowledge_graph_text2ttl_ray.functions.turtle import serialize_longturtle
     from cmc_knowledge_graph_text2ttl_ray.stages.triples import clean_doc_name
 
@@ -171,18 +201,7 @@ def write_ttl_per_doc(records_ds, out_dir: str, prefixes: dict[str, str] | None 
         part = part[part["rec"] == "triple"]
         urls, paths, counts = [], [], []
         for url, group in part.groupby("doc_url", sort=False):
-            # astype(object) FIRST: on a float64 all-missing column,
-            # .where(..., None) keeps NaN (float64 can't hold None) and
-            # would leak '@nan' lang tags into the TTL
-            lg = group["object_lang"].astype(object).where(
-                group["object_lang"].notna(), None)
-            dt = group["object_datatype"].astype(object).where(
-                group["object_datatype"].notna(), None)
-            rows = list(zip(group["subject"].to_numpy(),
-                            group["predicate"].to_numpy(),
-                            group["object"].to_numpy(),
-                            group["object_kind"].to_numpy(),
-                            lg.to_numpy(), dt.to_numpy()))
+            rows = _rows(group, IDENTITY_COLS)
             name = clean_doc_name(url.rsplit("/", 1)[-1] or url)
             path = fsio.fs_join(base, f"{name}.ttl")
             fsio.write_text(fs, path, serializer(rows, prefixes))
@@ -207,7 +226,7 @@ def write_ttl_per_doc(records_ds, out_dir: str, prefixes: dict[str, str] | None 
 # per document, text_to_turtle_processor.py:66-83).  The engine's scalable
 # equivalent is a named graph per document: ``records_to_quads`` mints a
 # graph IRI from ``doc_url`` and the quad sinks below reuse the bucketed
-# manifest-resume layout of ``write_ttl_partitions`` (same determinism,
+# manifest-resume writer of ``write_ttl_partitions`` (same determinism,
 # same fused dedup, identity now INCLUDES the graph: the same triple
 # asserted by two documents is two distinct quads).
 
@@ -253,17 +272,6 @@ def records_to_quads(records_ds):
     return records_ds.map_batches(to_quads, batch_format="pyarrow")
 
 
-def _quad_rows(group: "pd.DataFrame") -> list[tuple]:
-    lg = group["object_lang"].astype(object).where(
-        group["object_lang"].notna(), None)
-    dt = group["object_datatype"].astype(object).where(
-        group["object_datatype"].notna(), None)
-    g = group["graph"].astype(object).where(group["graph"].notna(), "")
-    return list(zip(group["subject"].to_numpy(), group["predicate"].to_numpy(),
-                    group["object"].to_numpy(), group["object_kind"].to_numpy(),
-                    lg.to_numpy(), dt.to_numpy(), g.to_numpy()))
-
-
 def write_quad_partitions(
     quads_ds,
     out_dir: str,
@@ -291,79 +299,18 @@ def write_quad_partitions(
 
     if fmt not in ("nquads", "trig"):
         raise ValueError(f"fmt must be 'nquads' or 'trig', got {fmt!r}")
-    ext = ".nq" if fmt == "nquads" else ".trig"
-    fs, base = fsio.resolve_fs(out_dir, filesystem)
-    fsio.makedirs(fs, base)
-    manifest = read_manifest(out_dir, filesystem) if resume else {"buckets": {}}
-    comp_tag = compression or "none"
-    # layout change (format or compression) invalidates resume wholesale —
-    # same rationale as the TTL sink
-    if (manifest.get("compression", "none") != comp_tag
-            or manifest.get("format", fmt) != fmt):
-        manifest = {"buckets": {}}
-    manifest["compression"] = comp_tag
-    manifest["format"] = fmt
-    done = set(manifest["buckets"]) if resume else set()
-    prefixes = prefixes or {}
-
-    def pre(batch: pa.Table) -> pd.DataFrame:
-        df = batch.to_pandas()
-        # tolerate minimal quad sources (no lang/datatype columns)
-        for c in QUAD_IDENTITY_COLS:
-            if c not in df.columns:
-                df[c] = None
-        df = df[[c for c in QUAD_IDENTITY_COLS]].copy()
-        if fmt == "trig":
-            h = pd.util.hash_pandas_object(df["graph"], index=False).to_numpy()
-        else:
-            h = pd.util.hash_pandas_object(
-                df[QUAD_IDENTITY_COLS], index=False).to_numpy()
-        df["bucket"] = (h % num_buckets).astype("int64")
-        return df.drop_duplicates(subset=QUAD_IDENTITY_COLS)
-
-    bucketed = quads_ds.map_batches(pre, batch_format="pyarrow")
-
-    def write_group(group: pd.DataFrame) -> pd.DataFrame:
-        bucket = int(group["bucket"].iloc[0])
-        if str(bucket) in done:
-            return pd.DataFrame({"bucket": [bucket], "n_quads": [-1],
-                                 "path": ["<skipped>"]})
-        group = group.drop_duplicates(subset=QUAD_IDENTITY_COLS)
-        rows = _quad_rows(group)
-        text = (serialize_nquads(rows) if fmt == "nquads"
-                else serialize_trig(rows, prefixes))
-        stale = fsio.fs_join(
-            base, f"part-{bucket:05d}{ext}" + ("" if compression == "gzip"
-                                               else ".gz"))
-        try:
-            fs.delete_file(stale)
-        except OSError:
-            pass
-        if compression == "gzip":
-            import gzip as _gzip
-
-            path = fsio.fs_join(base, f"part-{bucket:05d}{ext}.gz")
-            fsio.replace_bytes(fs, path,
-                               _gzip.compress(text.encode("utf-8"), mtime=0))
-        else:
-            path = fsio.fs_join(base, f"part-{bucket:05d}{ext}")
-            fsio.replace_text(fs, path, text)
-        return pd.DataFrame({"bucket": [bucket], "n_quads": [len(set(rows))],
-                             "path": [path]})
-
-    written = (
-        bucketed.groupby("bucket").map_groups(write_group, batch_format="pandas")
-        .to_pandas()
-    )
-    for r in written.itertuples():
-        if r.path != "<skipped>":
-            manifest["buckets"][str(int(r.bucket))] = {
-                "n_quads": int(r.n_quads),
-                "path": r.path,
-            }
-    fsio.replace_text(fs, fsio.fs_join(base, "manifest.json"),
-                      json.dumps(manifest, indent=1, sort_keys=True))
-    return manifest
+    if fmt == "nquads":
+        bucket_cols, ext, serialize = (QUAD_IDENTITY_COLS, ".nq",
+                                       serialize_nquads)
+    else:
+        bucket_cols, ext = "graph", ".trig"
+        serialize = functools.partial(serialize_trig, prefixes=prefixes)
+    return _write_buckets(
+        quads_ds, out_dir, identity_cols=QUAD_IDENTITY_COLS,
+        bucket_cols=bucket_cols, serialize=serialize, ext=ext,
+        count_key="n_quads",
+        layout={"compression": compression or "none", "format": fmt},
+        num_buckets=num_buckets, resume=resume, filesystem=filesystem)
 
 
 def write_jsonld_partitions(
@@ -382,48 +329,8 @@ def write_jsonld_partitions(
         serialize_jsonld,
     )
 
-    fs, base = fsio.resolve_fs(out_dir, filesystem)
-    fsio.makedirs(fs, base)
-    manifest = read_manifest(out_dir, filesystem) if resume \
-        else {"buckets": {}}
-    manifest.setdefault("format", "jsonld")
-    done = set(manifest["buckets"]) if resume else set()
-
-    def pre(batch: pa.Table) -> pd.DataFrame:
-        df = add_identity_hash(batch, keep_cols=IDENTITY_COLS)
-        df["bucket"] = (df["h"] % num_buckets).astype("int64")
-        return df.drop(columns=["h"])
-
-    bucketed = triples_ds.map_batches(pre, batch_format="pyarrow")
-
-    def write_group(group: pd.DataFrame) -> pd.DataFrame:
-        bucket = int(group["bucket"].iloc[0])
-        if str(bucket) in done:
-            return pd.DataFrame({"bucket": [bucket], "n_triples": [-1],
-                                 "path": ["<skipped>"]})
-        group = group.drop_duplicates(subset=IDENTITY_COLS)
-        lg = group["object_lang"].astype(object).where(
-            group["object_lang"].notna(), None)
-        dt = group["object_datatype"].astype(object).where(
-            group["object_datatype"].notna(), None)
-        rows = list(zip(group["subject"].to_numpy(),
-                        group["predicate"].to_numpy(),
-                        group["object"].to_numpy(),
-                        group["object_kind"].to_numpy(),
-                        lg.to_numpy(), dt.to_numpy()))
-        text = serialize_jsonld(rows)
-        path = fsio.fs_join(base, f"part-{bucket:05d}.jsonld")
-        fsio.replace_text(fs, path, text)
-        return pd.DataFrame({"bucket": [bucket], "n_triples": [len(rows)],
-                             "path": [path]})
-
-    written = (bucketed.groupby("bucket")
-               .map_groups(write_group, batch_format="pandas").to_pandas())
-    for r in written.itertuples():
-        if r.path != "<skipped>":
-            manifest["buckets"][str(int(r.bucket))] = {
-                "n_triples": int(r.n_triples), "path": r.path,
-            }
-    fsio.replace_text(fs, fsio.fs_join(base, "manifest.json"),
-                      json.dumps(manifest, indent=1, sort_keys=True))
-    return manifest
+    return _write_buckets(
+        triples_ds, out_dir, identity_cols=IDENTITY_COLS,
+        bucket_cols=IDENTITY_COLS, serialize=serialize_jsonld,
+        ext=".jsonld", count_key="n_triples", layout={"format": "jsonld"},
+        num_buckets=num_buckets, resume=resume, filesystem=filesystem)

@@ -211,15 +211,16 @@ def test_extract_invalid_utf8_row_does_not_fail_block():
     assert texts[1] == ""
 
 
-def test_kg_pipeline_canonical_join_mode(ray_session, tmp_path):
+def test_kg_pipeline_canonical_join_mode(ray_session, tmp_path, monkeypatch):
     """Join-based (100-TB) canonicalization produces the same triples as the
     broadcast rewrite."""
+    from cmc_knowledge_graph_text2ttl_ray.functions import cluster
     from cmc_knowledge_graph_text2ttl_ray.pipelines.kg import run_kg_pipeline
     from cmc_knowledge_graph_text2ttl_ray.sources.pages import pages_dataset
 
     r1 = run_kg_pipeline(pages_dataset(60, override_num_blocks=3))
-    r2 = run_kg_pipeline(pages_dataset(60, override_num_blocks=3),
-                         canonical_mode="join")
+    monkeypatch.setattr(cluster, "BROADCAST_JOIN_ROWS", 0)
+    r2 = run_kg_pipeline(pages_dataset(60, override_num_blocks=3))
     cols = ["subject", "predicate", "object", "object_kind"]
     t1 = r1["triples"].to_pandas()[cols].sort_values(cols).reset_index(drop=True)
     t2 = r2["triples"].to_pandas()[cols].sort_values(cols).reset_index(drop=True)
@@ -227,11 +228,13 @@ def test_kg_pipeline_canonical_join_mode(ray_session, tmp_path):
     assert len(t1) > 50
 
 
-def test_kg_pipeline_canonical_auto_mode(ray_session, tmp_path):
-    """Round-3 verdict: callers shouldn't need to pick canonical_mode. The
-    default 'auto' uses broadcast while the entity partial rows fit the
-    threshold and flips to the join path beyond it — same triples both
-    ways, on both the pinned and the checkpointed record paths."""
+def test_kg_pipeline_canonical_auto_mode(ray_session, tmp_path, monkeypatch):
+    """Round-3 verdict: callers shouldn't need to pick a canonicalization
+    path. The pipeline uses broadcast while the entity partial rows fit
+    ``cluster.BROADCAST_JOIN_ROWS`` and flips to the join path beyond it —
+    same triples both ways, on both the pinned and the checkpointed record
+    paths."""
+    from cmc_knowledge_graph_text2ttl_ray.functions import cluster
     from cmc_knowledge_graph_text2ttl_ray.pipelines.kg import run_kg_pipeline
     from cmc_knowledge_graph_text2ttl_ray.sources.pages import pages_dataset
 
@@ -240,15 +243,14 @@ def test_kg_pipeline_canonical_auto_mode(ray_session, tmp_path):
     r_b = run_kg_pipeline(pages_dataset(60, override_num_blocks=3))
     assert r_b["entity_mapping"] is not None
     # threshold 0 → every corpus is "too big" → join path (mapping_df None)
-    r_j = run_kg_pipeline(pages_dataset(60, override_num_blocks=3),
-                          canonical_broadcast_rows=0)
+    monkeypatch.setattr(cluster, "BROADCAST_JOIN_ROWS", 0)
+    r_j = run_kg_pipeline(pages_dataset(60, override_num_blocks=3))
     assert r_j["entity_mapping"] is None
     t_b = r_b["triples"].to_pandas()[cols].sort_values(cols).reset_index(drop=True)
     t_j = r_j["triples"].to_pandas()[cols].sort_values(cols).reset_index(drop=True)
     assert t_b.equals(t_j)
     # checkpointed records exercise the parquet-metadata count branch
     r_c = run_kg_pipeline(pages_dataset(60, override_num_blocks=3),
-                          canonical_broadcast_rows=0,
                           out_dir=str(tmp_path / "o"), num_buckets=4)
     assert r_c["entity_mapping"] is None
     t_c = r_c["triples"].to_pandas()[cols].sort_values(cols).reset_index(drop=True)

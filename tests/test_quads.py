@@ -114,17 +114,32 @@ class TestQuadSink:
                for s, p, o, k, lg, dt, g in parsed}
         assert got == want
 
-    def test_resume_skips_written_buckets(self, ray_session, tmp_path):
-        m1 = self._write(tmp_path, QUADS, "nquads")
+    @pytest.mark.parametrize("fmt", ["turtle", "nquads", "trig", "jsonld"])
+    def test_resume_skips_written_buckets(self, ray_session, tmp_path, fmt):
+        # every format's sink runs on the one bucketed writer
+        from cmc_knowledge_graph_text2ttl_ray.stages.sinks import (
+            write_jsonld_partitions,
+            write_ttl_partitions,
+        )
+
+        def write(**kw):
+            if fmt in ("nquads", "trig"):
+                return self._write(tmp_path, QUADS, fmt, **kw)
+            sink = (write_ttl_partitions if fmt == "turtle"
+                    else write_jsonld_partitions)
+            return sink(ray.data.from_pandas(_quads_df(QUADS)),
+                        str(tmp_path), num_buckets=4, **kw)
+
+        m1 = write()
         n_buckets = len(m1["buckets"])
         # tamper one shard; resume must NOT rewrite it
         path = sorted(m1["buckets"].values(), key=lambda e: e["path"])[0]["path"]
         open(path, "w").write("# tampered\n")
-        m2 = self._write(tmp_path, QUADS, "nquads")
+        m2 = write()
         assert len(m2["buckets"]) == n_buckets
         assert open(path).read() == "# tampered\n"
         # resume=False rewrites
-        self._write(tmp_path, QUADS, "nquads", resume=False)
+        write(resume=False)
         assert open(path).read() != "# tampered\n"
 
     def test_gzip_layout(self, ray_session, tmp_path):

@@ -214,17 +214,32 @@ def test_cli_jsonl_pages(tmp_path):
     assert summary["n_triples"] > 0
 
 
-def test_waves_canonical_join_mode(ray_session, tmp_path):
+def test_waves_canonical_join_mode(ray_session, tmp_path, monkeypatch):
+    # The wave build canonicalizes through the shared broadcast gate: a
+    # small corpus takes the broadcast dict, gate 0 the join rewrite.
+    from cmc_knowledge_graph_text2ttl_ray.functions import cluster
     from cmc_knowledge_graph_text2ttl_ray.pipelines.kg import run_kg_pipeline_waves
+    from cmc_knowledge_graph_text2ttl_ray.stages import canonicalize
 
     src = str(tmp_path / "pages")
     generate_pages_parquet(src, 120, num_files=4)
     files = sorted(
         os.path.join(src, f) for f in os.listdir(src) if f.endswith(".parquet")
     )
+    calls, join = [], canonicalize.apply_canonical_mapping_join
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return join(*args, **kwargs)
+
+    monkeypatch.setattr(canonicalize, "apply_canonical_mapping_join", spy)
     r_b = run_kg_pipeline_waves(files, str(tmp_path / "o1"), wave_size=2)
-    r_j = run_kg_pipeline_waves(files, str(tmp_path / "o2"), wave_size=2,
-                                canonical_mode="join")
+    assert r_b["entity_mapping"] is not None
+    assert not calls
+    monkeypatch.setattr(cluster, "BROADCAST_JOIN_ROWS", 0)
+    r_j = run_kg_pipeline_waves(files, str(tmp_path / "o2"), wave_size=2)
+    assert r_j["entity_mapping"] is None
+    assert calls
     tb = sum(b["n_triples"] for b in r_b["manifest"]["buckets"].values())
     tj = sum(b["n_triples"] for b in r_j["manifest"]["buckets"].values())
     assert tb == tj > 0
