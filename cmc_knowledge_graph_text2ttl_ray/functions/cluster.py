@@ -103,7 +103,7 @@ def default_join_partitions(divisor: int = 4, floor: int = 2) -> int:
     return max(floor, int(ray.cluster_resources().get("CPU", 8)) // divisor)
 
 
-# Solution joins (pipelines/kg_query.py::_solution_join) whose broadcastable
+# Solution joins (functions/solutions.py::solution_join) whose broadcastable
 # side has at most this many rows skip the hash shuffle: that side goes to
 # the object store once and every block of the other side probes it with
 # ``pa.Table.join``. Measured crossover (inner join of two compacted
@@ -116,8 +116,8 @@ def default_join_partitions(divisor: int = 4, floor: int = 2) -> int:
 # every probe block rebuilds the small side's hash table. 0 disables
 # the tier. The same gate picks the build's canonical rewrite
 # (stages/canonicalize.py::canonicalize_triples): at most this many
-# rec='entity' rows take the ray.put dict rewrite, more take the two-join
-# rewrite.
+# rec='entity' rows take the ray.put dict rewrite, more take two solution
+# joins. Read at call time, so a test can monkeypatch it.
 BROADCAST_JOIN_ROWS = 800_000
 
 

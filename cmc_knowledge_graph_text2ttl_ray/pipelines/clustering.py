@@ -189,8 +189,7 @@ def kmeans_cluster_stats(sf_dir: str, k: int = 16, max_iters: int = 20):
     return out.map_batches(tidy, batch_format="pandas").sort("cluster")
 
 
-def semantic_dedup(sf_dir: str, threshold: float = 0.95,
-                   broadcast_threshold: int = 5_000_000, **pair_kwargs):
+def semantic_dedup(sf_dir: str, threshold: float = 0.95, **pair_kwargs):
     """SemDeDup-style semantic dedup: cosine near-dup pairs (IVF-bucketed,
     multi-assigned — no all-pairs) → connected components → one survivor
     (min vec_id) per semantic cluster.
@@ -200,6 +199,7 @@ def semantic_dedup(sf_dir: str, threshold: float = 0.95,
     import ray
     from cmc_knowledge_graph_text2ttl_ray.pipelines.graph_algos import (
         connected_components,
+        label_clusters,
     )
     from cmc_knowledge_graph_text2ttl_ray.pipelines.similarity import (
         embedding_near_dup_pairs,
@@ -207,10 +207,7 @@ def semantic_dedup(sf_dir: str, threshold: float = 0.95,
 
     pairs = embedding_near_dup_pairs(sf_dir, threshold=threshold,
                                      **pair_kwargs)
-    cc = connected_components(pairs, "vec_a", "vec_b").materialize()
+    cc = connected_components(pairs, "vec_a", "vec_b")
     vecs = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
                                  columns=["vec_id"])
-
-    from cmc_knowledge_graph_text2ttl_ray.pipelines.graph_algos import label_clusters
-
-    return label_clusters(vecs, "vec_id", cc, broadcast_threshold)
+    return label_clusters(vecs, "vec_id", cc)

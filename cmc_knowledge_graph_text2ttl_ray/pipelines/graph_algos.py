@@ -224,7 +224,6 @@ def fuzzy_dedup(
     sf_dir: str,
     *,
     threshold: float = 0.7,
-    broadcast_threshold: int = 5_000_000,
     **minhash_kwargs,
 ):
     """Full fuzzy-dedup pass: MinHash+LSH pairs → connected components →
@@ -232,27 +231,21 @@ def fuzzy_dedup(
 
     Returns (doc_id, cluster_id, keep): every document appears once;
     ``cluster_id`` is the smallest doc_id of its near-dup cluster (its own
-    id when unpaired) and ``keep`` marks the survivor rows.
-
-    Scale shape: the cluster labeling covers ONLY documents that appeared
-    in a near-dup pair (dup-rate-proportional); while it fits
-    ``broadcast_threshold`` it broadcasts once via ``ray.put`` and the doc
-    table stream-maps against it (no shuffle of the corpus); past that it
-    falls back to a distributed left-outer hash join.
+    id when unpaired) and ``keep`` marks the survivor rows (see
+    :func:`label_clusters` for the scale shape).
     """
-    import ray
     import ray.data
     from cmc_knowledge_graph_text2ttl_ray.pipelines.dedup import minhash_lsh_pairs
 
     pairs = minhash_lsh_pairs(sf_dir, threshold=threshold, **minhash_kwargs)
-    cc = connected_components(pairs, "doc_a", "doc_b").materialize()
+    cc = connected_components(pairs, "doc_a", "doc_b")
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=["doc_id"])
 
-    return label_clusters(docs, "doc_id", cc, broadcast_threshold)
+    return label_clusters(docs, "doc_id", cc)
 
 
-def label_clusters(entities, id_col: str, cc, broadcast_threshold: int):
+def label_clusters(entities, id_col: str, cc):
     """Attach connected-component labels to an entity Dataset → rows
     ``(id_col, cluster_id, keep)``: ``cluster_id`` is the component id
     (the entity's own id when unpaired) and ``keep`` marks the minimum-id
@@ -260,46 +253,51 @@ def label_clusters(entities, id_col: str, cc, broadcast_threshold: int):
     previous verbatim copies drifted independently — round-3 review).
 
     Scale shape: the component map covers only entities that appeared in
-    a pair (dup-rate-proportional); under ``broadcast_threshold`` it is
-    broadcast once via ``ray.put`` and the entity table stream-maps
-    against it (no corpus shuffle), else a distributed left-outer hash
-    join labels it."""
-    import ray
+    a pair (dup-rate-proportional); ONE left-outer
+    :func:`~cmc_knowledge_graph_text2ttl_ray.functions.solutions.solution_join`
+    labels the entity table, broadcasting the map up to
+    ``functions.cluster.BROADCAST_JOIN_ROWS`` rows (no corpus shuffle)
+    and hash-joining past it."""
+    from cmc_knowledge_graph_text2ttl_ray.functions.solutions import compact
 
-    if cc.count() <= broadcast_threshold:
-        mapping = {int(r["node"]): int(r["cluster_id"])
-                   for r in cc.take_all()}
-        ref = ray.put(mapping)
+    ents = compact(entities.map_batches(
+        _int64_ids, fn_kwargs={"cols": [id_col]}, batch_format="pyarrow"),
+        (id_col,))
+    return _join_labels(ents, cc, id_col).map(
+        _own_cluster, (id_col, "cluster_id", "keep"), id_col).ds
 
-        def label(df: pd.DataFrame) -> pd.DataFrame:
-            m = ray.get(ref)
-            ids = df[id_col].astype("int64")
-            cl = ids.map(m).fillna(ids).astype("int64")
-            return pd.DataFrame({id_col: ids, "cluster_id": cl,
-                                 "keep": ids == cl})
 
-        return entities.map_batches(label, batch_format="pandas")
+def _int64_ids(t: pa.Table, cols) -> pa.Table:
+    return pa.table({c: t[c].cast(pa.int64()) for c in cols})
 
-    from cmc_knowledge_graph_text2ttl_ray.functions.cluster import (
-        default_join_partitions,
+
+def _join_labels(ents, cc, id_col: str):
+    """``ents`` (Solutions keyed by an int64 ``id_col``) left-outer
+    joined to the component labels ``cc`` (a ``(node, cluster_id)``
+    Dataset): ``cluster_id`` is null for an entity in no pair."""
+    from cmc_knowledge_graph_text2ttl_ray.functions.solutions import (
+        compact,
+        solution_join,
     )
 
-    def finish(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
+    labels = compact(cc.map_batches(
+        lambda t: _int64_ids(t, ["node", "cluster_id"]).rename_columns(
+            [id_col, "cluster_id"]), batch_format="pyarrow"),
+        (id_col, "cluster_id"))
+    cols = ents.cols + ("cluster_id",)
+    if labels.n == 0 or ents.n == 0:
+        return ents.map(lambda t: t.append_column(
+            "cluster_id", pa.nulls(len(t), pa.int64())), cols)
+    return solution_join(ents, labels, "left_outer", [id_col], cols)
 
-        if "cluster_id" not in t.column_names:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "cluster_id": pa.array([], pa.int64()),
-                             "keep": pa.array([], pa.bool_())})
-        cl = pc.coalesce(t["cluster_id"], t[id_col])
-        return pa.table({id_col: t[id_col], "cluster_id": cl,
-                         "keep": pc.equal(t[id_col], cl)})
 
-    return entities.join(
-        cc, join_type="left_outer",
-        num_partitions=default_join_partitions(),
-        on=(id_col,), right_on=("node",),
-    ).map_batches(finish, batch_format="pyarrow")
+def _own_cluster(t: pa.Table, id_col: str) -> pa.Table:
+    """Unpaired entities label themselves; the minimum id survives."""
+    import pyarrow.compute as pc
+
+    cl = pc.coalesce(t["cluster_id"], t[id_col])
+    return pa.table({id_col: t[id_col], "cluster_id": cl,
+                     "keep": pc.equal(t[id_col], cl)})
 
 
 def cc_demo_clusters(sf_dir: str, **cc_kwargs):
@@ -875,7 +873,6 @@ def fuzzy_dedup_best_quality(
     sf_dir: str,
     *,
     threshold: float = 0.7,
-    broadcast_threshold: int = 5_000_000,
     **minhash_kwargs,
 ):
     """Fuzzy dedup with QUALITY-aware survivor selection: like
@@ -889,25 +886,28 @@ def fuzzy_dedup_best_quality(
 
     Scale shape: pairs → components as in :func:`fuzzy_dedup`; the
     quality signal is ONE streaming scan emitting (doc_id, q) — two
-    narrow columns, text never shuffles; the per-cluster argmax runs as a
-    coarse exchange over CLUSTERED rows only (dup-rate-proportional), and
-    the winner map follows the same broadcast-vs-join threshold as
-    ``label_clusters``.
+    narrow columns, text never shuffles — labeled by the same one
+    left-outer join as :func:`label_clusters`.  Unpaired docs keep
+    themselves; the per-cluster argmax runs as a coarse exchange over
+    CLUSTERED rows only (dup-rate-proportional), which marks the
+    winners in place.
     """
     import pyarrow.compute as pc
-    import ray
     import ray.data
 
     from cmc_knowledge_graph_text2ttl_ray.functions.cluster import (
         coarse_group_reduce,
-        default_join_partitions,
+    )
+    from cmc_knowledge_graph_text2ttl_ray.functions.solutions import (
+        _union,
+        compact,
     )
     from cmc_knowledge_graph_text2ttl_ray.pipelines.dedup import (
         minhash_lsh_pairs,
     )
 
     pairs = minhash_lsh_pairs(sf_dir, threshold=threshold, **minhash_kwargs)
-    cc = connected_components(pairs, "doc_a", "doc_b").materialize()
+    cc = connected_components(pairs, "doc_a", "doc_b")
 
     def score(t: pa.Table) -> pa.Table:
         text = t["text"]
@@ -921,91 +921,32 @@ def fuzzy_dedup_best_quality(
             "quality": pc.round(pc.divide(alpha, n), ndigits=4),
         })
 
-    scored = ray.data.read_parquet(
+    scored = compact(ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    ).map_batches(score, batch_format="pyarrow").materialize()
+    ).map_batches(score, batch_format="pyarrow"), ("doc_id", "quality"))
+    labeled = _join_labels(scored, cc, "doc_id")
+    cols = ("doc_id", "cluster_id", "quality", "keep")
 
-    n_cc = cc.count()
-    if n_cc == 0:
-        return scored.map_batches(
-            lambda df: pd.DataFrame({
-                "doc_id": df["doc_id"].astype("int64"),
-                "cluster_id": df["doc_id"].astype("int64"),
-                "quality": df["quality"],
-                "keep": np.ones(len(df), bool)}),
-            batch_format="pandas")
+    def singles(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.is_null(t["cluster_id"]))
+        return pa.table({"doc_id": t["doc_id"], "cluster_id": t["doc_id"],
+                         "quality": t["quality"],
+                         "keep": pa.array([True] * len(t))})
 
-    if n_cc <= broadcast_threshold:
-        mapping = {int(r["node"]): int(r["cluster_id"])
-                   for r in cc.take_all()}
-        map_ref = ray.put(mapping)
-
-        def clustered_rows(df: pd.DataFrame) -> pd.DataFrame:
-            m = ray.get(map_ref)
-            ids = df["doc_id"].astype("int64")
-            sub = df[ids.isin(m)].copy()
-            sub["cluster_id"] = sub["doc_id"].map(m).astype("int64")
-            return sub[["doc_id", "cluster_id", "quality"]]
-
-        def best(g: pd.DataFrame) -> pd.DataFrame:
-            g = g.sort_values(["quality", "doc_id"],
-                              ascending=[False, True])
-            return g.groupby("cluster_id", as_index=False).first() \
-                [["cluster_id", "doc_id"]]
-
-        winners = coarse_group_reduce(
-            scored.map_batches(clustered_rows, batch_format="pandas"),
-            ["cluster_id"], best).to_pandas()
-        win_ref = ray.put(dict(zip(winners["cluster_id"],
-                                   winners["doc_id"])))
-
-        def finish(df: pd.DataFrame) -> pd.DataFrame:
-            m = ray.get(map_ref)
-            w = ray.get(win_ref)
-            ids = df["doc_id"].astype("int64")
-            cl = ids.map(m).fillna(ids).astype("int64")
-            winner = cl.map(w).fillna(ids).astype("int64")
-            return pd.DataFrame({"doc_id": ids, "cluster_id": cl,
-                                 "quality": df["quality"],
-                                 "keep": (ids == winner).to_numpy()})
-
-        return scored.map_batches(finish, batch_format="pandas")
-
-    # distributed path: label via left-outer join, winner via coarse argmax,
-    # winner map joined back on cluster_id
-    # size join partitions by the data, not the cluster: Ray's hash shuffle
-    # finalizes all-empty partitions as schema-less blocks that break Arrow
-    # join field resolution, so tiny inputs must use few partitions
-    n_rows = scored.count()
-    nparts = max(1, min(default_join_partitions(), -(-n_rows // 50_000)))
-    labeled = scored.join(
-        cc, join_type="left_outer", num_partitions=nparts,
-        on=("doc_id",), right_on=("node",),
-    ).map_batches(
-        lambda df: pd.DataFrame({
-            "doc_id": df["doc_id"].astype("int64"),
-            "cluster_id": df["cluster_id"].fillna(df["doc_id"])
-            .astype("int64"),
-            "quality": df["quality"]}),
-        batch_format="pandas",
-    ).materialize()
+    def paired(t: pa.Table) -> pa.Table:
+        return t.filter(pc.is_valid(t["cluster_id"]))
 
     def best(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["quality", "doc_id"], ascending=[False, True])
-        return g.groupby("cluster_id", as_index=False).first() \
-            [["cluster_id", "doc_id"]].rename(columns={"doc_id": "winner"})
+        g["keep"] = ~g["cluster_id"].duplicated()
+        return g[list(cols)]
 
-    winners = coarse_group_reduce(labeled, ["cluster_id"], best)
-    return labeled.join(
-        winners, join_type="inner", num_partitions=nparts,
-        on=("cluster_id",),
-    ).map_batches(
-        lambda df: pd.DataFrame({
-            "doc_id": df["doc_id"].astype("int64"),
-            "cluster_id": df["cluster_id"].astype("int64"),
-            "quality": df["quality"],
-            "keep": (df["doc_id"] == df["winner"]).to_numpy()}),
-        batch_format="pandas")
+    parts = [labeled.map(singles, cols)]
+    clustered = labeled.map(paired, labeled.cols)
+    if clustered.n:
+        parts.append(compact(coarse_group_reduce(
+            clustered.ds, ["cluster_id"], best), cols))
+    return _union(parts, cols).ds
 
 
 # --------------------------------------------------------------------------

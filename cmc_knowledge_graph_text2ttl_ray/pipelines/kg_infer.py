@@ -30,7 +30,7 @@ Scale shape
   tiers.
 - Every join of two computed sets (the rdfs pair maps past
   ``functions.cluster.BROADCAST_JOIN_ROWS``, the sameAs labeling, the
-  PageRank lookup) is ``kg_query._solution_join``, which picks its
+  PageRank lookup) is ``solutions.solution_join``, which picks its
   broadcast or hash-shuffle tier by the sets' exact row counts.
 
 Binding values are lexical strings; template objects default to
@@ -225,7 +225,7 @@ def _new_vs_known(candidates, known, num_partitions: int,
 
 
 def _hashed_graph(edges, what: str):
-    """The IRI edges ``edges`` (``kg_query.Solutions`` over ``a``,
+    """The IRI edges ``edges`` (``solutions.Solutions`` over ``a``,
     ``b``) with 64-bit md5 ids ``ha`` / ``hb``, and their node table
     ``(h, iri)`` — ``(edges, nodes)``, both Solutions.  An
     EXACT collision check (distinct IRIs per hash, inside the same
@@ -236,7 +236,7 @@ def _hashed_graph(edges, what: str):
     from cmc_knowledge_graph_text2ttl_ray.functions.cluster import (
         coarse_group_reduce,
     )
-    from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import _compact
+    from cmc_knowledge_graph_text2ttl_ray.functions.solutions import compact
 
     def h64(vals):
         return pa.array(
@@ -266,7 +266,7 @@ def _hashed_graph(edges, what: str):
                 "with a different salt or use dense ids)")
         return g
 
-    nodes = _compact(coarse_group_reduce(
+    nodes = compact(coarse_group_reduce(
         edges.ds.map_batches(node_rows, batch_format="pyarrow"),
         ["h"], dedup_nodes), ("h", "iri"))
     return edges, nodes
@@ -287,21 +287,23 @@ def merge_equivalent_entities(triples, sameas_pred: str,
     edge threshold, pointer-doubling rounds above).  IRIs enter CC as
     64-bit md5 ids (:func:`_hashed_graph`, exact collision check).  The
     node labeling and the canonical lookup are
-    :func:`~cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query._solution_join`
+    :func:`~cmc_knowledge_graph_text2ttl_ray.functions.solutions.solution_join`
     joins.  The rewrite broadcasts a mapping of at most
     ``functions.cluster.BROADCAST_JOIN_ROWS`` rows (``ray.put`` once,
-    dictionary-encoded per block) and falls back to the salted two-join
-    rewrite above it — the same adaptive pair the canonicalization stage
-    uses."""
+    dictionary-encoded per block); above it the rewrite is two left-outer
+    solution joins (``canonicalize.apply_canonical_mapping_join``) — the
+    same adaptive pair the canonicalization stage uses."""
     from cmc_knowledge_graph_text2ttl_ray.functions import cluster
+    from cmc_knowledge_graph_text2ttl_ray.functions.solutions import (
+        Solutions,
+        compact,
+        solution_join,
+    )
     from cmc_knowledge_graph_text2ttl_ray.pipelines.graph_algos import (
         connected_components,
     )
     from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import (
-        Solutions,
-        _compact,
         _pattern_scan,
-        _solution_join,
     )
     from cmc_knowledge_graph_text2ttl_ray.stages.canonicalize import (
         apply_canonical_mapping,
@@ -326,17 +328,17 @@ def merge_equivalent_entities(triples, sameas_pred: str,
     cc = cc.map_batches(lambda t: pa.table(
         {"h": t["node"], "cluster_id": t["cluster_id"]}),
         batch_format="pyarrow")
-    labeled = _solution_join(nodes, _compact(cc, ("h", "cluster_id")),
-                             "inner", ["h"], ("iri", "cluster_id"))
+    labeled = solution_join(nodes, compact(cc, ("h", "cluster_id")),
+                            "inner", ["h"], ("iri", "cluster_id"))
 
     def min_iri(g):
         return (g.groupby("cluster_id", as_index=False)["iri"].min()
                 .rename(columns={"iri": "canonical"}))
 
-    canon = _compact(cluster.coarse_group_reduce(labeled.ds, ["cluster_id"],
-                                                 min_iri),
-                     ("cluster_id", "canonical"))
-    mapping = _solution_join(
+    canon = compact(cluster.coarse_group_reduce(labeled.ds, ["cluster_id"],
+                                                min_iri),
+                    ("cluster_id", "canonical"))
+    mapping = solution_join(
         labeled, canon, "inner", ["cluster_id"], ("iri", "canonical")).map(
             lambda t: t.filter(pc.invert(pc.equal(t["iri"],
                                                   t["canonical"]))),
@@ -350,7 +352,7 @@ def merge_equivalent_entities(triples, sameas_pred: str,
                              batch["canonical"].to_pylist()))
         out = apply_canonical_mapping(full, mdict)
     else:
-        out = apply_canonical_mapping_join(full, mapping_ds)
+        out = apply_canonical_mapping_join(full, mapping)
 
     if drop_merged_selfloops:
         def drop_loops(t: pa.Table) -> pa.Table:
@@ -370,7 +372,7 @@ def kg_entity_pagerank(triples, damping: float = 0.85, iters: int = 4,
     :func:`~cmc_knowledge_graph_text2ttl_ray.pipelines.graph_algos.pagerank` runs over
     64-bit md5 node ids (:func:`_hashed_graph`, the same exact
     collision guard as the sameAs merge), ranks map back to IRIs
-    through one ``kg_query._solution_join``.  Returns an ``(iri,
+    through one ``solutions.solution_join``.  Returns an ``(iri,
     rank)`` Dataset, optionally the ``top_k`` by rank (deterministic IRI
     tie-break)."""
     import ray.data
@@ -378,9 +380,9 @@ def kg_entity_pagerank(triples, damping: float = 0.85, iters: int = 4,
     from cmc_knowledge_graph_text2ttl_ray.pipelines.graph_algos import (
         pagerank,
     )
-    from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import (
-        _compact,
-        _solution_join,
+    from cmc_knowledge_graph_text2ttl_ray.functions.solutions import (
+        compact,
+        solution_join,
     )
 
     if hasattr(triples, "scan_for_predicate"):
@@ -394,8 +396,8 @@ def kg_entity_pagerank(triples, damping: float = 0.85, iters: int = 4,
         return pa.table({"a": t["subject"].cast(pa.string()),
                          "b": t["object"].cast(pa.string())})
 
-    edges = _compact(triples.map_batches(edge_rows, batch_format="pyarrow"),
-                     ("a", "b"))
+    edges = compact(triples.map_batches(edge_rows, batch_format="pyarrow"),
+                    ("a", "b"))
     if edges.n == 0:
         return ray.data.from_arrow(pa.table(
             {"iri": pa.array([], pa.string()),
@@ -408,8 +410,8 @@ def kg_entity_pagerank(triples, damping: float = 0.85, iters: int = 4,
     ranks = ranks.map_batches(
         lambda t: pa.table({"h": t["node"], "rank": t["rank"]}),
         batch_format="pyarrow")
-    out = _solution_join(nodes, _compact(ranks, ("h", "rank")), "inner",
-                         ["h"], ("iri", "rank")).ds
+    out = solution_join(nodes, compact(ranks, ("h", "rank")), "inner",
+                        ["h"], ("iri", "rank")).ds
     if top_k is not None:
         out = out.sort(["rank", "iri"], descending=[True, False]) \
                  .limit(top_k)
@@ -795,7 +797,7 @@ def _prepare_base(triples, num_partitions, spill_rows: int,
 
 def _apply_pair_map(inst, pairs, key_col: str, build):
     """Inner-join the triple Dataset ``inst`` on ``inst[key_col]`` to the
-    schema pairs ``pairs`` (``kg_query.Solutions`` over
+    schema pairs ``pairs`` (``solutions.Solutions`` over
     ``(key_col, "_sup")``) and emit ``build(joined_frame)`` triples.
 
     Schema closures are ontology-sized: up to
@@ -804,16 +806,16 @@ def _apply_pair_map(inst, pairs, key_col: str, build):
     ``map_batches`` — a streaming map, because above ``spill_rows``
     ``inst`` is a streaming read that must not be pinned.  Past the gate
     both sides go through
-    :func:`~cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query._solution_join`
+    :func:`~cmc_knowledge_graph_text2ttl_ray.functions.solutions.solution_join`
     and the output is pinned."""
     import ray
 
     from cmc_knowledge_graph_text2ttl_ray.functions import cluster
-    from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import (
-        _compact,
+    from cmc_knowledge_graph_text2ttl_ray.functions.solutions import (
         _concat_task,
         _probe,
-        _solution_join,
+        compact,
+        solution_join,
     )
 
     cols = list(_TRIPLE_COLS)
@@ -834,11 +836,11 @@ def _apply_pair_map(inst, pairs, key_col: str, build):
                                joined_cols))
 
         return inst.map_batches(apply, batch_format="pyarrow")
-    left = _compact(inst, cols)
+    left = compact(inst, cols)
     if left.n == 0:
         return _empty_triples()
-    return _solution_join(left, pairs, "inner", [key_col],
-                          joined_cols).map(emit, cols).ds
+    return solution_join(left, pairs, "inner", [key_col],
+                         joined_cols).map(emit, cols).ds
 
 
 def rdfs_closure(triples, vocab: dict[str, str] | None = None,
@@ -885,7 +887,7 @@ def rdfs_closure(triples, vocab: dict[str, str] | None = None,
     exchange; :func:`_apply_pair_map`); the final dedup-and-subtract is
     the one ``hash(identity) % P`` exchange over the derived set.  Past
     the gate a step is a
-    :func:`~cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query._solution_join`
+    :func:`~cmc_knowledge_graph_text2ttl_ray.functions.solutions.solution_join`
     join, whose pinned output spills to scratch parquet past
     ``spill_rows`` before the next join is planned.  ``vocab``
     overrides the predicate IRIs (defaults ``rdf:type`` /

@@ -27,50 +27,42 @@ Scale shape
   materialized source (``materialize()``, ``from_arrow``) the scan is
   one remote task per source block; over a lazy source it fuses into
   the one execution that runs the source's lineage.
-- Patterns are joined on ALL shared variables through ONE solution
-  join (:func:`_solution_join`, also used by every SPARQL join in
-  ``sparql_dist.py``), in two tiers chosen by the exact row counts the
-  solution sets carry.  When the side that may be broadcast (the
-  smaller one for an inner join, the right one for OPTIONAL, MINUS
-  and EXISTS) has at most ``functions.cluster.BROADCAST_JOIN_ROWS``
-  rows, one task concatenates it and every block of the other side
-  joins it with ``pa.Table.join`` in its own task — no shuffle, no
-  aggregator actors.  Above the gate both sides go through Ray's
-  distributed hash join (``Dataset.join``), partition count derived
-  from the smaller side and the cluster (``default_join_partitions``).
-  Both tiers make the same pyarrow join call, so they give the same
-  rows.  Join order is chosen by true cardinality (smallest binding
-  table first, then the smallest connected one); a selectivity
-  heuristic (most-constant patterns first — a bound predicate+object
-  is the classic most-selective SPARQL access path) checks
-  connectivity up front so no cross product is ever formed;
+- Patterns are joined on ALL shared variables through the package's
+  one solution join (``functions/solutions.py::solution_join``, also
+  used by every SPARQL join in ``sparql_dist.py``): a side of at most
+  ``functions.cluster.BROADCAST_JOIN_ROWS`` rows is broadcast to one
+  probe task per block of the other side, a larger one takes Ray's
+  distributed hash join.  Join order is chosen by true cardinality
+  (smallest binding table first, then the smallest connected one); a
+  selectivity heuristic (most-constant patterns first — a bound
+  predicate+object is the classic most-selective SPARQL access path)
+  checks connectivity up front so no cross product is ever formed;
   disconnected pattern groups are rejected.
 - ``distinct`` dedups via ``coarse_group_reduce`` (in-block combiner +
   one hash exchange), never a driver-side collect.
 
-Solution sets: every operator passes :class:`Solutions` — the object
-refs of the set's non-empty Arrow blocks, its variables and its exact
-row count.  Narrow operators (scans of materialized sources, broadcast
-probes, projections, padding, BIND / VALUES / FILTER) run as remote
-tasks on the block refs (:meth:`Solutions.map`), each a few
-milliseconds, where a Ray Data execution costs ~75 ms of fixed set-up.
-Ray Data runs only the wide operators (hash-tier join, aggregates,
-``coarse_group_reduce``, sort, limit / offset) and the lineage of lazy
-sources; :func:`_compact` turns their output back into block refs.
-Columns are static (SPARQL 1.1 §18.2.1: a group's in-scope variables
-follow from its syntax), so no operator asks a Dataset for its schema.
-An empty set holds no blocks; its :attr:`Solutions.ds` is a typed empty
-table.
+Solution sets: every operator passes a ``functions.solutions.Solutions``
+— the object refs of the set's non-empty Arrow blocks, its variables
+and its exact row count — and narrow operators run as remote tasks on
+the block refs.  Columns are static (SPARQL 1.1 §18.2.1: a group's
+in-scope variables follow from its syntax), so no operator asks a
+Dataset for its schema.
 """
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Sequence
-from typing import NamedTuple
 
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from cmc_knowledge_graph_text2ttl_ray.functions.solutions import (
+    Solutions,
+    _blocks,
+    _str_schema,
+    compact,
+    solution_join,
+)
 
 __all__ = ["bgp_query", "khop_subgraph", "kg_profile",
            "event_triples", "order_triples", "rdfs_demo_triples",
@@ -167,8 +159,8 @@ def _pattern_scan(triples, pattern: Sequence[str],
 
     if _is_materialized(triples):
         return _source_blocks(triples).map(scan, out_names)
-    return _compact(triples.map_batches(scan, batch_format="pyarrow"),
-                    out_names)
+    return compact(triples.map_batches(scan, batch_format="pyarrow"),
+                   out_names)
 
 
 def _is_materialized(ds) -> bool:
@@ -202,191 +194,12 @@ def _plan_order_indices(patterns: list[Sequence[str]]) -> list[int]:
     return order
 
 
-def _run_block(fn, block, *args):
-    out = fn(_arrow_block(block), *args)
-    return out, out.num_rows
-
-
-@functools.cache
-def _block_task():
-    import ray
-
-    return ray.remote(num_returns=2)(_run_block)
-
-
-class Solutions(NamedTuple):
-    """A solution set: ``blocks`` are the object refs of its non-empty
-    Arrow tables, ``cols`` its variables (names without ``?``, known
-    from the query — never read back from the blocks, whose columns are
-    ``cols`` in this order) and ``n`` its exact row count."""
-
-    blocks: tuple
-    cols: tuple
-    n: int
-
-    @classmethod
-    def empty(cls, cols):
-        return cls((), tuple(cols), 0)
-
-    @property
-    def ds(self):
-        """The set as a Dataset, for a wide operator or a caller outside
-        the solution operators; an empty set is a typed empty table."""
-        import ray.data
-
-        if not self.blocks:
-            return ray.data.from_arrow(_str_schema(self.cols).empty_table())
-        return ray.data.from_arrow_refs(list(self.blocks))
-
-    def map(self, fn, cols, *args) -> "Solutions":
-        """``fn(block, *args) -> pa.Table`` as one remote task per block,
-        giving the set over ``cols``.  Each task also returns its row
-        count, so the result's ``n`` is exact; empty outputs are
-        dropped.  Object refs in ``args`` reach ``fn`` as their values
-        (Ray resolves top-level task arguments)."""
-        if not self.blocks:
-            return Solutions.empty(cols)
-        import ray
-
-        fn_ref = ray.put(fn)
-        outs = [_block_task().remote(fn_ref, b, *args) for b in self.blocks]
-        counts = ray.get([c for _, c in outs])
-        return Solutions(tuple(t for (t, _), k in zip(outs, counts) if k),
-                         tuple(cols), sum(counts))
-
-    def select(self, cols) -> "Solutions":
-        cols = tuple(cols)
-        return self if cols == self.cols else self.map(_select, cols,
-                                                       list(cols))
-
-
-def _select(t: pa.Table, cols) -> pa.Table:
-    return t.select(cols)
-
-
-def _union(parts, cols) -> Solutions:
-    """Bag union of solution sets whose blocks all have columns
-    ``cols``: their block lists, concatenated."""
-    return Solutions(tuple(b for p in parts for b in p.blocks), tuple(cols),
-                     sum(p.n for p in parts))
-
-
-def _arrow_block(block) -> pa.Table:
-    """``block`` (Arrow or pandas) as an Arrow table; a column that a
-    pandas hop typed ``null`` (all None) becomes a string column."""
-    t = block if isinstance(block, pa.Table) else pa.Table.from_pandas(
-        block, preserve_index=False).replace_schema_metadata(None)
-    if not any(pa.types.is_null(f.type) for f in t.schema):
-        return t
-    return pa.table({c: (t[c].cast(pa.string())
-                         if pa.types.is_null(t[c].type) else t[c])
-                     for c in t.column_names})
-
-
-def _blocks(ds):
-    """Refs and total rows of a Dataset's non-empty blocks, from the
-    bundles of ``materialize()`` (which runs nothing for an already
-    materialized Dataset)."""
-    refs, n = [], 0
-    for bundle in ds.materialize().iter_internal_ref_bundles():
-        for ref, meta in bundle.blocks:
-            if meta.num_rows:
-                refs.append(ref)
-                n += meta.num_rows
-    return tuple(refs), n
-
-
 def _source_blocks(ds) -> Solutions:
     """A materialized triples source's blocks, taken as they are, for
     a :meth:`Solutions.map` to read (its ``cols`` stay empty; the task
     converts a pandas block)."""
     refs, n = _blocks(ds)
     return Solutions(refs, (), n)
-
-
-def _compact(ds, cols) -> Solutions:
-    """The output of a wide operator, or a lazy source's lineage, as
-    :class:`Solutions` over ``cols``: ONE execution, whose bundles give
-    the block refs and row counts.  A map fused into that execution
-    turns every block into Arrow; empty blocks are dropped."""
-    refs, n = _blocks(ds.map_batches(_arrow_block, batch_format="pyarrow",
-                                     batch_size=None))
-    return Solutions(refs, tuple(cols), n)
-
-
-def _reblock(ds):
-    """Materialize ``ds`` and re-block it so no block is empty; returns
-    ``(dataset_or_None, n_rows)``.  Ray's hash shuffle broadcasts each
-    side's schema from its FIRST shuffled block only, and an empty
-    first block silently skips the broadcast — data-less partitions
-    then crash pyarrow's join with "No match for key field"
-    (hash_shuffle.py::_shuffle_block's num_rows==0 early return).  So
-    every ``Dataset.join`` input goes through here."""
-    m = ds.materialize()
-    n = m.count()
-    if n == 0:
-        return None, 0
-    return m.repartition(max(1, min(200, -(-n // 50_000)))), n
-
-
-def _concat_tables(*tables: pa.Table) -> pa.Table:
-    return pa.concat_tables(tables, promote_options="default")
-
-
-@functools.cache
-def _concat_task():
-    import ray
-
-    return ray.remote(_concat_tables)
-
-
-def _solution_join(left, right, join_type, on, cols,
-                   num_partitions=None) -> Solutions:
-    """Join two non-empty :class:`Solutions` on the same-named key
-    columns ``on`` into the set over ``cols`` (a subset of the joined
-    columns): ``join_type`` is ``inner``, ``left_outer``, ``left_anti``
-    or ``left_semi``.
-
-    Two tiers, same rows.  When the side that may be broadcast — the
-    smaller one for ``inner``, only the right one otherwise — has at
-    most ``functions.cluster.BROADCAST_JOIN_ROWS`` rows, it takes
-    :func:`_broadcast_join`: no Ray Data execution at all.  Otherwise
-    it is a ``Dataset.join`` hash shuffle of the :func:`_reblock`-ed
-    sides over ``num_partitions`` partitions (default: one per 50k rows
-    of the smaller side, capped by ``default_join_partitions``),
-    compacted back into block refs."""
-    from cmc_knowledge_graph_text2ttl_ray.functions import cluster
-
-    on = list(on)
-    gate = cluster.BROADCAST_JOIN_ROWS
-    if join_type == "inner" and left.n < right.n and left.n <= gate:
-        return _broadcast_join(right, left, join_type, on, cols)
-    if right.n <= gate:
-        return _broadcast_join(left, right, join_type, on, cols)
-    np_join = num_partitions or max(1, min(
-        cluster.default_join_partitions(), -(-min(left.n, right.n) // 50_000)))
-    joined = _reblock(left.ds)[0].join(
-        _reblock(right.ds)[0], join_type=join_type,
-        num_partitions=np_join, on=tuple(on))
-    return _compact(joined.select_columns(list(cols)), cols)
-
-
-def _broadcast_join(stream, small, join_type, on, cols) -> Solutions:
-    """Broadcast tier of :func:`_solution_join`: ONE task concatenates
-    ``small``'s blocks into an object-store table (never fetched into
-    the calling process), then one task per ``stream`` block joins it
-    with ``pa.Table.join`` — the call Ray's hash join makes per
-    partition, so null keys never match and keys coalesce alike.  The
-    table reaches each probe as a top-level task argument, so Ray hands
-    it over before the task starts instead of the task blocking on
-    ``ray.get``."""
-    table = _concat_task().remote(*small.blocks)
-    return stream.map(_probe, cols, table, on,
-                      join_type.replace("_", " "), list(cols))
-
-
-def _probe(t: pa.Table, small: pa.Table, on, verb, cols) -> pa.Table:
-    return t.join(small, keys=on, join_type=verb).select(cols)
 
 
 def _distinct_keys(keys):
@@ -452,17 +265,13 @@ def _join_group(triples, patterns, num_partitions, pattern_sources=None):
                    if set(acc.cols) & set(s.cols)),
                   key=lambda i: scans[i].n)
         rhs = scans.pop(nxt)
-        acc = _solution_join(
+        acc = solution_join(
             acc, rhs, "inner", sorted(set(acc.cols) & set(rhs.cols)),
             sorted(set(acc.cols) | set(rhs.cols)),
             num_partitions=num_partitions)
         if acc.n == 0:
             return Solutions.empty(all_vars)
     return acc
-
-
-def _str_schema(cols) -> pa.Schema:
-    return pa.schema([(c, pa.string()) for c in cols])
 
 
 def _pad(schema: pa.Schema):
@@ -550,7 +359,7 @@ def bgp_query(
     join on a null key silently differs, so it is rejected).
     ``minus_patterns``: ONE internally-connected group subtracted from
     the solutions on shared variables (SPARQL ``MINUS`` / ``FILTER NOT
-    EXISTS`` over shared vars) — a ``left_anti`` :func:`_solution_join`.
+    EXISTS`` over shared vars) — a ``left_anti`` :func:`solution_join`.
     ``num_partitions`` applies to joins that take the hash-shuffle tier.
     ``filters``: solution filters applied after all joins (see
     :func:`_solution_filter`); combine with ``("?v", "is_null", None)``
@@ -609,9 +418,9 @@ def _bgp_solutions(triples, patterns, num_partitions=None, opt_groups=(),
             cols = sorted(bound) + extra
             acc = acc.map(_pad(_str_schema(cols)), cols)
         else:
-            acc = _solution_join(acc, opt, "left_outer", shared,
-                                 sorted(bound) + extra,
-                                 num_partitions=num_partitions)
+            acc = solution_join(acc, opt, "left_outer", shared,
+                                sorted(bound) + extra,
+                                num_partitions=num_partitions)
         bound |= opt_vars
 
     if minus_patterns:
@@ -626,7 +435,7 @@ def _bgp_solutions(triples, patterns, num_partitions=None, opt_groups=(),
         if mins.n:
             # the subtrahend's distinct join keys (anti join needs key
             # presence only)
-            acc = _solution_join(
+            acc = solution_join(
                 acc, mins.map(_distinct_keys(shared), shared), "left_anti",
                 shared, acc.cols, num_partitions=num_partitions)
     return acc
@@ -1060,7 +869,7 @@ def order_quads(sf_dir: str):
       ``(order:<o>, priority, <o_orderpriority>)``
 
     Nation (25 rows) is a driver-side broadcast lookup; orders get their
-    customer's graph through ONE :func:`_solution_join` on ``o_custkey``.
+    customer's graph through ONE :func:`solution_join` on ``o_custkey``.
     """
     import pandas as pd
 
@@ -1093,9 +902,9 @@ def order_quads(sf_dir: str):
                                  "graph": df["c_nationkey"].map(ndict)}),
         batch_format="pandas")
     order_cols = ("o_orderkey", "o_custkey", "o_orderpriority")
-    joined = _solution_join(
-        _compact(orders, order_cols),
-        _compact(cust_graph, ("o_custkey", "graph")), "inner",
+    joined = solution_join(
+        compact(orders, order_cols),
+        compact(cust_graph, ("o_custkey", "graph")), "inner",
         ["o_custkey"], order_cols + ("graph",)).ds
 
     def enc_orders(df: pd.DataFrame) -> pd.DataFrame:

@@ -398,24 +398,26 @@ def _match_stored(kg_ds, spo_ds, num_partitions=None):
     object) appears in ``spo_ds`` — the delete-template → stored-row
     match (tombstones carry the STORED typing; absent triples yield no
     tombstone)."""
-    from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import (
+    from cmc_knowledge_graph_text2ttl_ray.functions.solutions import (
         Solutions,
-        _compact,
+        compact,
+        solution_join,
+    )
+    from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import (
         _distinct_keys,
-        _solution_join,
     )
     from cmc_knowledge_graph_text2ttl_ray.stages.dedup_triples import (
         IDENTITY_COLS,
     )
 
     keys = ["subject", "predicate", "object"]
-    left = _compact(kg_ds.select_columns(IDENTITY_COLS), IDENTITY_COLS)
-    right = _compact(spo_ds.map_batches(_distinct_keys(keys),
+    left = compact(kg_ds.select_columns(IDENTITY_COLS), IDENTITY_COLS)
+    right = compact(spo_ds.map_batches(_distinct_keys(keys),
                                         batch_format="pyarrow"), keys)
     if left.n == 0 or right.n == 0:
         return Solutions.empty(IDENTITY_COLS).ds
-    return _solution_join(left, right, "left_semi", keys, IDENTITY_COLS,
-                          num_partitions=num_partitions).ds
+    return solution_join(left, right, "left_semi", keys, IDENTITY_COLS,
+                         num_partitions=num_partitions).ds
 
 
 def _collect_bgp_patterns(elements):
@@ -540,9 +542,9 @@ def _typed_inserts(kg_ds, sols, ins_tmpls, elements, num_partitions):
         _dedup_triples,
         _expand_templates,
     )
-    from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import (
-        _compact,
-        _solution_join,
+    from cmc_knowledge_graph_text2ttl_ray.functions.solutions import (
+        compact,
+        solution_join,
     )
 
     typing = _object_var_typing(ins_tmpls, elements)
@@ -568,10 +570,10 @@ def _typed_inserts(kg_ds, sols, ins_tmpls, elements, num_partitions):
         spo = sols.map_batches(
             _expand_spo([(s, p, o, {}) for s, p, o in tmpls]),
             batch_format="pyarrow")
-        left = _compact(spo, ["subject", "predicate", "object"])
+        left = compact(spo, ["subject", "predicate", "object"])
         if left.n == 0:
             continue
-        right = _compact(_typing_map(kg_ds, preds), ["object"] + t_cols)
+        right = compact(_typing_map(kg_ds, preds), ["object"] + t_cols)
         if right.n == 0:
             # nothing stored under these predicates: literal fallback
             joined = left.ds.map_batches(
@@ -584,9 +586,9 @@ def _typed_inserts(kg_ds, sols, ins_tmpls, elements, num_partitions):
                                pa.nulls(len(t), pa.string())),
                 batch_format="pyarrow")
         else:
-            joined = _solution_join(left, right, "left_outer", ["object"],
-                                    left.cols + tuple(t_cols),
-                                    num_partitions=num_partitions).ds
+            joined = solution_join(left, right, "left_outer", ["object"],
+                                   left.cols + tuple(t_cols),
+                                   num_partitions=num_partitions).ds
 
             def fill(t: pa.Table) -> pa.Table:
                 import pyarrow.compute as pc

@@ -17,7 +17,7 @@ type`` pattern — pruned to its bucket on a ``TripleStore``), one value
 scan per property shape, semi-joined to the focus set; count
 constraints are one ``groupby(focus).count()`` left-outer-joined back
 to the focus set; ``class_`` membership is an anti-join against the
-typed-node set.  Every join is ``kg_query._solution_join``: a
+typed-node set.  Every join is ``solutions.solution_join``: a
 broadcast probe while the smaller side fits
 ``functions.cluster.BROADCAST_JOIN_ROWS``, a hash shuffle past it.
 The output is a violations Dataset ``(focus, shape, path, constraint,
@@ -77,10 +77,12 @@ def validate_shapes(triples, shapes: list[NodeShape],
     from cmc_knowledge_graph_text2ttl_ray.functions.cluster import (
         coarse_group_reduce,
     )
+    from cmc_knowledge_graph_text2ttl_ray.functions.solutions import (
+        compact,
+        solution_join,
+    )
     from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import (
-        _compact,
         _pattern_scan,
-        _solution_join,
     )
 
     import ray.data
@@ -123,11 +125,11 @@ def validate_shapes(triples, shapes: list[NodeShape],
                                else pa.nulls(len(t), pa.string()))
                 return pa.table(cols)
 
-            vals = _compact(src.map_batches(pick, batch_format="pyarrow"),
-                            val_cols)
+            vals = compact(src.map_batches(pick, batch_format="pyarrow"),
+                           val_cols)
             if vals.n:
-                vals = _solution_join(vals, focus, "left_semi", ["focus"],
-                                      val_cols)
+                vals = solution_join(vals, focus, "left_semi", ["focus"],
+                                     val_cols)
 
             # ---- count constraints (per-focus, zero included) ----
             if ps.min_count > 0 or ps.max_count is not None:
@@ -142,10 +144,10 @@ def validate_shapes(triples, shapes: list[NodeShape],
                         parts.append(focus.ds.map_batches(
                             all_missing, batch_format="pyarrow"))
                 else:
-                    counted = _compact(vals.ds.groupby("focus").count(),
-                                       ("focus", "count()"))
-                    joined = _solution_join(focus, counted, "left_outer",
-                                            ["focus"], ("focus", "count()"))
+                    counted = compact(vals.ds.groupby("focus").count(),
+                                      ("focus", "count()"))
+                    joined = solution_join(focus, counted, "left_outer",
+                                           ["focus"], ("focus", "count()"))
 
                     def count_viols(t: pa.Table, ps=ps, shape=shape) -> pa.Table:
                         cnt = pc.fill_null(
@@ -224,8 +226,8 @@ def validate_shapes(triples, shapes: list[NodeShape],
                     lambda t: t.filter(pc.equal(t["object_kind"], "iri")),
                     val_cols)
                 if untyped.n and typed.n:
-                    untyped = _solution_join(untyped, typed, "left_anti",
-                                             ["value"], val_cols)
+                    untyped = solution_join(untyped, typed, "left_anti",
+                                            ["value"], val_cols)
 
                 def class_viols(t: pa.Table, ps=ps, shape=shape) -> pa.Table:
                     return viol_table(

@@ -89,18 +89,20 @@ import re
 
 import pyarrow as pa
 
-from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import (
+from cmc_knowledge_graph_text2ttl_ray.functions.solutions import (
     Solutions,
     _arrow_block,
+    _str_schema,
+    _union,
+    compact,
+    solution_join,
+)
+from cmc_knowledge_graph_text2ttl_ray.pipelines.kg_query import (
     _bgp_solutions,
-    _compact,
     _distinct_keys,
     _is_materialized,
     _pad,
-    _solution_join,
     _source_blocks,
-    _str_schema,
-    _union,
 )
 
 __all__ = ["sparql_select", "sparql_query"]
@@ -549,7 +551,7 @@ def _compat_matches(lm, rm, shared, out_cols, cross_on_disjoint=True,
     bound on both sides is a join key, one bound on a single side comes
     from that side and one bound on neither projects to null.  A pair
     with no key joins on a constant column (a cross product).  Every
-    pair is a :func:`_solution_join`, so a small stratum is broadcast
+    pair is a :func:`solution_join`, so a small stratum is broadcast
     instead of landing the whole pair in one shuffle partition."""
     import pyarrow.compute as pc
 
@@ -596,8 +598,8 @@ def _compat_matches(lm, rm, shared, out_cols, cross_on_disjoint=True,
                 left, right, join_on = (cross_key(left), cross_key(right),
                                         ["__x"])
             joined = set(left.cols) | set(right.cols)
-            j = _solution_join(left, right, "inner", join_on,
-                               [f.name for f in proj if f.name in joined])
+            j = solution_join(left, right, "inner", join_on,
+                              [f.name for f in proj if f.name in joined])
             parts.append(j.map(_pad(proj), proj.names))
     return parts
 
@@ -607,7 +609,7 @@ def _matched_lid_anti(lm, matches):
     ids = matches.map(_distinct_col("__lid"), ("__lid",))
     if ids.n == 0:
         return lm
-    return _solution_join(lm, ids, "left_anti", ["__lid"], lm.cols)
+    return solution_join(lm, ids, "left_anti", ["__lid"], lm.cols)
 
 
 def _compat_inner_join(left, right, shared, out_cols):
@@ -632,8 +634,8 @@ def _join_back(acc, other, shared, nullable):
         return Solutions.empty(out_cols)
     if set(shared) & nullable or _null_count(other, shared):
         return _compat_inner_join(acc, other, shared, out_cols)
-    return _solution_join(acc, other.map(_str_cols, other.cols), "inner",
-                          shared, out_cols)
+    return solution_join(acc, other.map(_str_cols, other.cols), "inner",
+                         shared, out_cols)
 
 
 def _left_join(acc, opt, nullable):
@@ -643,7 +645,7 @@ def _left_join(acc, opt, nullable):
     Returns ``(joined, vars-made-nullable)``.
 
     When no shared variable can be null on EITHER side this is one
-    left-outer :func:`_solution_join`.  Otherwise — the OPTIONAL
+    left-outer :func:`solution_join`.  Otherwise — the OPTIONAL
     correlates through a previous OPTIONAL's possibly-null vars, and/or
     the OPTIONAL side
     itself carries unbound shared vars (nested OPTIONAL / UNION inside
@@ -672,8 +674,8 @@ def _left_join(acc, opt, nullable):
         return acc.map(pad, out_cols), set(extra)
 
     if not null_shared and not _null_count(opt, shared):
-        return _solution_join(acc, opt.map(_str_cols, opt.cols),
-                              "left_outer", shared, out_cols), set(extra)
+        return solution_join(acc, opt.map(_str_cols, opt.cols),
+                             "left_outer", shared, out_cols), set(extra)
 
     # ---- general per-binding compatibility (nulls on EITHER side) ----
     lm = _strata_prep(acc, shared, with_lid=True)
@@ -738,7 +740,7 @@ def _eval_var_graph_group(triples, gvar, inner, num_partitions):
                       .combine_chunks())
         return pa.table({"g": g})
 
-    distinct = _compact(coarse_group_reduce(
+    distinct = compact(coarse_group_reduce(
         base.map_batches(names, batch_format="pyarrow"),
         ["g"], lambda df: df.drop_duplicates()), ["g"])
     if distinct.n > _MAX_ENUM_GRAPHS:
@@ -1048,7 +1050,7 @@ def _group_dataset(triples, elements, num_partitions):
         if not shared or acc.n == 0 or mins.n == 0:
             continue  # disjoint domains remove nothing (§18.5 guard)
         if not (set(shared) & nullable) and not _null_count(mins, shared):
-            acc = _solution_join(
+            acc = solution_join(
                 acc, mins.map(_distinct_keys(shared), shared), "left_anti",
                 shared, acc.cols)
         else:
@@ -1090,7 +1092,7 @@ def _group_dataset(triples, elements, num_partitions):
             if (probe.n > 0) == negated:
                 acc = Solutions.empty(acc.cols)
             continue
-        acc = _solution_join(
+        acc = solution_join(
             acc, probe.map(_distinct_keys(shared), shared),
             "left_anti" if negated else "left_semi", shared, acc.cols)
     if filters:
@@ -1397,7 +1399,7 @@ def _select_solutions(triples, query, num_partitions, base_prefixes):
                     ds = ds.groupby(group_vars).aggregate(*aggs)
                 else:
                     ds = ds.groupby("__one").aggregate(*aggs)
-            sols = _compact(ds.select_columns(out_cols), out_cols)
+            sols = compact(ds.select_columns(out_cols), out_cols)
         # HAVING: the parser's compiled filter over group keys +
         # aggregate aliases, applied per (already tiny) group row
         m_hav = re.search(r"\bHAVING\s*\(", tail, re.IGNORECASE)
@@ -1413,7 +1415,7 @@ def _select_solutions(triples, query, num_partitions, base_prefixes):
         out_cols = plain_vars or list(acc.cols)
         sols = acc.select(out_cols)
         if distinct and sols.n:
-            sols = _compact(coarse_group_reduce(
+            sols = compact(coarse_group_reduce(
                 sols.ds, out_cols,
                 lambda g: g.drop_duplicates(subset=out_cols)), out_cols)
 
@@ -1452,9 +1454,9 @@ def _select_solutions(triples, query, num_partitions, base_prefixes):
         sort_cols = [f"__ord{i}{p}" for i in range(len(cols))
                      for p in "kns"]
         sort_desc = [d for d in desc for _ in range(3)]
-        sols = _compact(sols.map(add_sort_keys, out_cols + sort_cols).ds
-                        .sort(sort_cols, descending=sort_desc)
-                        .drop_columns(sort_cols), out_cols)
+        sols = compact(sols.map(add_sort_keys, out_cols + sort_cols).ds
+                       .sort(sort_cols, descending=sort_desc)
+                       .drop_columns(sort_cols), out_cols)
     m_off = re.search(r"\bOFFSET\s+(\d+)", tail, re.IGNORECASE)
     m_lim = re.search(r"\bLIMIT\s+(\d+)", tail, re.IGNORECASE)
     off = int(m_off.group(1)) if m_off else 0
@@ -1472,5 +1474,5 @@ def _select_solutions(triples, query, num_partitions, base_prefixes):
             ds = ds.split_at_indices([off])[1]
         if m_lim:
             ds = ds.limit(int(m_lim.group(1)))
-        sols = _compact(ds, out_cols)
+        sols = compact(ds, out_cols)
     return sols

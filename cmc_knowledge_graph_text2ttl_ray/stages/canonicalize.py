@@ -22,9 +22,10 @@ Scale design (SURVEY §7.4):
     mapping dict goes to the object store once (``ray.put``); every block
     rewrites itself with a dictionary-encode + map-unique-values pass, so
     the wide triple table is never shuffled;
-  - above it, the mapping stays a Dataset
+  - above it, the mapping never leaves the cluster
     (:func:`canonicalization_mapping_ds`, one exchange) and the rewrite is
-    two left-outer hash joins (:func:`apply_canonical_mapping_join`).
+    two left-outer joins through the package's one solution join
+    (:func:`apply_canonical_mapping_join`), each its own execution.
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from cmc_knowledge_graph_text2ttl_ray.functions import cluster
+from cmc_knowledge_graph_text2ttl_ray.functions.solutions import (
+    Solutions,
+    compact,
+    solution_join,
+)
 
 __all__ = [
     "canonicalize_triples",
@@ -41,7 +47,6 @@ __all__ = [
     "mapping_from_entity_records",
     "apply_canonical_mapping",
     "apply_canonical_mapping_join",
-    "detect_entity_salt",
 ]
 
 
@@ -104,8 +109,8 @@ def canonicalize_triples(triples_ds, entity_ds, entity_ns: str):
         mapping = {r.iri: r.canonical for r in mapping_df.itertuples()
                    if r.iri != r.canonical}
         return apply_canonical_mapping(triples_ds, mapping), mapping_df
-    mapping_ds = canonicalization_mapping_ds(entity_ds, entity_ns)
-    return apply_canonical_mapping_join(triples_ds, mapping_ds), None
+    mapping = canonicalization_mapping_ds(entity_ds, entity_ns)
+    return apply_canonical_mapping_join(triples_ds, mapping), None
 
 
 def apply_canonical_mapping(triples_ds, mapping: dict[str, str]):
@@ -146,147 +151,61 @@ def apply_canonical_mapping(triples_ds, mapping: dict[str, str]):
     return triples_ds.map_batches(rewrite, batch_format="pyarrow")
 
 
-def canonicalization_mapping_ds(entity_ds, entity_ns: str):
+def canonicalization_mapping_ds(entity_ds, entity_ns: str) -> Solutions:
     """Fully-distributed mapping build for the join tier: ONE exchange.
     The votes hash-partition by ``key`` alone, so each coarse task holds
     every (key, iri) vote of its keys and does the sum AND the per-key
     arg-max in one vectorized pass — a (key, iri) groupby().aggregate here
     would pay Ray's per-distinct-group overhead (see coarse_group_reduce)
     and still need a second exchange for the arg-max. Identity rows are
-    dropped; nothing touches the driver."""
+    dropped; nothing touches the driver.  Returns the ``(iri,
+    canonical)`` variant rows as :class:`Solutions`."""
 
     def variants(g: pd.DataFrame) -> pd.DataFrame:
         out = _argmax(g)
         return out[out["iri"] != out["canonical"]]
 
-    return cluster.coarse_group_reduce(_votes_ds(entity_ds, entity_ns),
-                                       ["key"], variants)
+    return compact(cluster.coarse_group_reduce(
+        _votes_ds(entity_ds, entity_ns), ["key"], variants),
+        ("iri", "canonical"))
 
 
-def detect_entity_salt(triples_ds, hot_k: int = 64,
-                       hot_min_rows: int = 1_000_000,
-                       rows_per_salted_part: int = 200_000,
-                       max_salt: int = 64) -> int:
-    """Skew detection for the join-mode rewrite: a Misra-Gries sketch over
-    every join key (subjects + IRI objects — constant exchange at any
-    cardinality) finds entities whose GUARANTEED mention count
-    (``min_count``, a lower bound, so no false positives) exceeds
-    ``hot_min_rows``. Returns the salt factor: 1 = no hot entity, else
-    enough ways to spread the hottest key at ~``rows_per_salted_part``
-    rows per partition."""
-    import numpy as np
-
-    from cmc_knowledge_graph_text2ttl_ray.pipelines.sketches import (
-        mg_heavy_hitters,
-    )
-
-    def keys(t: pa.Table) -> pa.Table:
-        subj = t["subject"].combine_chunks().cast(pa.string())
-        obj = t["object"].combine_chunks().cast(pa.string())
-        obj = obj.filter(pc.equal(t["object_kind"].combine_chunks(), "iri"))
-        return pa.table({"k": pa.concat_arrays(
-            [subj.combine_chunks() if isinstance(subj, pa.ChunkedArray)
-             else subj, obj])})
-
-    sk = mg_heavy_hitters(
-        triples_ds.map_batches(keys, batch_format="pyarrow"), "k", k=hot_k)
-    hot = sk[sk["min_count"] >= hot_min_rows]
-    if hot.empty:
-        return 1
-    import math
-
-    return int(min(max_salt,
-                   max(2, math.ceil(int(hot["min_count"].max())
-                                    / rows_per_salted_part))))
-
-
-def apply_canonical_mapping_join(triples_ds, mapping_ds,
-                                 num_partitions: int | None = None,
-                                 salt: int | str = "auto",
-                                 hot_min_rows: int = 1_000_000):
+def apply_canonical_mapping_join(triples_ds, mapping: Solutions):
     """Join-based rewrite for when the mapping itself is too large to
-    broadcast: two left-outer hash joins (subject, then IRI objects) with a
-    coalesce. Costs two shuffles of the triple table — use
-    :func:`apply_canonical_mapping` (broadcast) whenever the mapping fits
-    comfortably in a worker heap.
-
-    Skew-aware salting (the north rule's hot-entity case — one entity on
-    20% of pages would put 20% of the triple table in ONE join partition):
-    ``salt="auto"`` runs :func:`detect_entity_salt` (one constant-exchange
-    sketch pass); with salt factor S > 1 the triple side gets a round-robin
-    ``_salt`` column, the mapping side is replicated ×S, and both joins key
-    on ``(entity, _salt)`` — the hot key's rows spread across S partitions
-    while output rows are byte-identical to the unsalted join (salt only
-    moves WHERE a row is matched, never what it matches)."""
-    if num_partitions is None:
-        num_partitions = cluster.default_join_partitions()
-    # COMPACT the mapping side first (kg_query._compact rationale): the
-    # coarse-reduce mapping build leaves EMPTY blocks for coarse
-    # partitions that held no entity keys, and Ray's hash shuffle
-    # broadcasts each side's schema from its FIRST shuffled block only —
-    # an empty first block skips the broadcast and pyarrow's join dies
-    # with "No match ... for key field iri" (seen intermittently in the
-    # full suite).  The mapping is variant-sized, far below the triple
-    # table, so the materialize is the established small-side treatment.
-    mapping_ds = mapping_ds.materialize()
-    n_map = mapping_ds.count()
-    if n_map == 0:
+    broadcast: ``mapping`` is the ``(iri, canonical)`` variant rows.
+    The triple table is compacted once, then takes two left-outer
+    :func:`~cmc_knowledge_graph_text2ttl_ray.functions.solutions.solution_join`
+    calls, one keyed on ``subject`` and one on ``object``, each followed
+    by a coalesce (objects only where ``object_kind`` is ``iri``:
+    literals can never collide with IRIs).  Each join is its own
+    execution; above the gate the table sits in the object store
+    between them.  A hot entity puts its rows in one hash partition,
+    which the one unsalted hash tier handles: 3M triples with 1.2M on
+    one subject took 17-18 s at 4 Ray CPUs, against 24-25 s for the
+    salted rewrite this replaced."""
+    if mapping.n == 0:
         return triples_ds  # nothing to rewrite
-    mapping_ds = mapping_ds.repartition(
-        max(1, min(200, -(-n_map // 50_000))))
-    if salt == "auto":
-        salt = detect_entity_salt(triples_ds, hot_min_rows=hot_min_rows)
-    salt = max(1, int(salt))
+    triples = compact(triples_ds)
+    if triples.n == 0:
+        return triples_ds
+    for col in ("subject", "object"):
+        keyed = mapping.map(_rename, (col, "canonical"), [col, "canonical"])
+        triples = solution_join(
+            triples, keyed, "left_outer", [col],
+            triples.cols + ("canonical",)).map(
+                _coalesce, triples.cols, col)
+    return triples.ds
 
-    def coalesce(col: str):
-        def f(t: pa.Table) -> pa.Table:
-            if "_salt" in t.column_names:
-                t = t.drop_columns(["_salt"])
-            if "canonical" not in t.column_names:
-                return t  # empty-schema block passthrough
-            fixed = pc.coalesce(t["canonical"], t[col])
-            if col == "object":
-                fixed = pc.if_else(
-                    pc.equal(t["object_kind"], "iri"), fixed, t[col]
-                )
-            t = t.drop_columns(["canonical"])
-            return t.set_column(t.column_names.index(col), col, fixed)
 
-        return f
+def _rename(t: pa.Table, names) -> pa.Table:
+    return t.rename_columns(names)
 
-    if salt > 1:
-        import numpy as np
 
-        def replicate(t: pa.Table) -> pa.Table:
-            return pa.concat_tables(
-                [t.append_column("_salt", pa.array([s] * t.num_rows,
-                                                   pa.int64()))
-                 for s in range(salt)])
-
-        msalted = mapping_ds.map_batches(replicate, batch_format="pyarrow")
-
-        def add_salt(t: pa.Table) -> pa.Table:
-            if "_salt" in t.column_names:
-                t = t.drop_columns(["_salt"])
-            return t.append_column(
-                "_salt", pa.array(np.arange(t.num_rows, dtype=np.int64)
-                                  % salt))
-
-        def joined(ds, col):
-            return ds.map_batches(add_salt, batch_format="pyarrow").join(
-                msalted, join_type="left_outer",
-                num_partitions=num_partitions,
-                on=(col, "_salt"), right_on=("iri", "_salt"),
-            ).map_batches(coalesce(col), batch_format="pyarrow")
-
-        return joined(joined(triples_ds, "subject"), "object")
-
-    out = triples_ds.join(
-        mapping_ds, join_type="left_outer", num_partitions=num_partitions,
-        on=("subject",), right_on=("iri",),
-    ).map_batches(coalesce("subject"), batch_format="pyarrow")
-    out = out.join(
-        mapping_ds, join_type="left_outer", num_partitions=num_partitions,
-        on=("object",), right_on=("iri",),
-    ).map_batches(coalesce("object"), batch_format="pyarrow")
-    return out
+def _coalesce(t: pa.Table, col: str) -> pa.Table:
+    """A left-outer rewrite block back over the triple columns: ``col``
+    takes its ``canonical`` where one matched."""
+    fixed = pc.coalesce(t["canonical"], t[col])
+    if col == "object":
+        fixed = pc.if_else(pc.equal(t["object_kind"], "iri"), fixed, t[col])
+    t = t.drop_columns(["canonical"])
+    return t.set_column(t.column_names.index(col), col, fixed)

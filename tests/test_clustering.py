@@ -99,3 +99,24 @@ def test_semantic_dedup_collapses_planted(ray_session, clustered_dir):
     # random in-cluster neighbors (cosine < threshold) survive
     survivors = out["keep"].sum()
     assert survivors == 50
+
+
+def test_semantic_dedup_hash_tier_matches_broadcast(ray_session, clustered_dir,
+                                                    monkeypatch):
+    """At gate 0 the cluster labeling takes the hash-join tier and
+    gives the default run's frame."""
+    from cmc_knowledge_graph_text2ttl_ray.functions import cluster
+    from cmc_knowledge_graph_text2ttl_ray.pipelines.clustering import (
+        semantic_dedup,
+    )
+
+    sf, _ = clustered_dir
+
+    def run():
+        return semantic_dedup(sf, threshold=0.999999).to_pandas() \
+            .sort_values("vec_id").reset_index(drop=True)
+
+    want = run()
+    monkeypatch.setattr(cluster, "BROADCAST_JOIN_ROWS", 0)
+    pd.testing.assert_frame_equal(run(), want)
+    assert (~want["keep"]).sum() == 3

@@ -44,10 +44,13 @@ def test_highest_quality_survives(ray_session, corpus_dir):
     assert out.groupby("cluster_id")["keep"].sum().eq(1).all()
 
 
-def test_distributed_path_matches_broadcast(ray_session, corpus_dir):
+def test_distributed_path_matches_broadcast(ray_session, corpus_dir,
+                                           monkeypatch):
+    from cmc_knowledge_graph_text2ttl_ray.functions import cluster
+
     a = fuzzy_dedup_best_quality(corpus_dir, threshold=0.5) \
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
-    b = fuzzy_dedup_best_quality(corpus_dir, threshold=0.5,
-                                 broadcast_threshold=0) \
+    monkeypatch.setattr(cluster, "BROADCAST_JOIN_ROWS", 0)
+    b = fuzzy_dedup_best_quality(corpus_dir, threshold=0.5) \
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b)

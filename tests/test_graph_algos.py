@@ -116,9 +116,7 @@ def test_cc_demo_matches_recursive_oracle(ray_session, tmp_path):
         want.reset_index(drop=True).astype("int64"))
 
 
-def test_fuzzy_dedup_survivors(ray_session, tmp_path):
-    """Planted near-dup cluster collapses to one survivor (min doc_id);
-    distinct docs survive untouched."""
+def _near_dup_corpus(tmp_path):
     base = ("the quick brown fox jumps over the lazy dog near the river "
             "bank " * 6)
     texts = {
@@ -135,8 +133,13 @@ def test_fuzzy_dedup_survivors(ray_session, tmp_path):
                   "text": pa.array(list(texts.values()))}),
         str(tmp_path / "documents.parquet"))
 
+
+def test_fuzzy_dedup_survivors(ray_session, tmp_path):
+    """Planted near-dup cluster collapses to one survivor (min doc_id);
+    distinct docs survive untouched."""
     from cmc_knowledge_graph_text2ttl_ray.pipelines.graph_algos import fuzzy_dedup
 
+    _near_dup_corpus(tmp_path)
     out = fuzzy_dedup(str(tmp_path), threshold=0.6).to_pandas()
     out = out.set_index("doc_id").sort_index()
     assert len(out) == 5
@@ -144,6 +147,25 @@ def test_fuzzy_dedup_survivors(ray_session, tmp_path):
     assert list(out.loc[[0, 1, 2], "keep"]) == [True, False, False]
     assert out.loc[3, "keep"] and out.loc[4, "keep"]
     assert out.loc[3, "cluster_id"] == 3 and out.loc[4, "cluster_id"] == 4
+
+
+def test_fuzzy_dedup_hash_tier_matches_broadcast(ray_session, tmp_path,
+                                                 monkeypatch):
+    """At gate 0 the cluster labeling takes the hash-join tier and
+    gives the default run's frame."""
+    from cmc_knowledge_graph_text2ttl_ray.functions import cluster
+    from cmc_knowledge_graph_text2ttl_ray.pipelines.graph_algos import fuzzy_dedup
+
+    _near_dup_corpus(tmp_path)
+
+    def run():
+        return fuzzy_dedup(str(tmp_path), threshold=0.6).to_pandas() \
+            .sort_values("doc_id").reset_index(drop=True)
+
+    want = run()
+    monkeypatch.setattr(cluster, "BROADCAST_JOIN_ROWS", 0)
+    pd.testing.assert_frame_equal(run(), want)
+    assert (~want["keep"]).sum() == 2
 
 
 def test_pagerank_matches_dense_reference(ray_session):

@@ -1,4 +1,4 @@
-"""Both tiers of the solution join (``pipelines/kg_query._solution_join``).
+"""Both tiers of the solution join (``functions/solutions.solution_join``).
 
 ``test_sparql_dist`` and ``test_bgp_property`` run at the default
 ``BROADCAST_JOIN_ROWS``, where their small inputs take the broadcast

@@ -397,11 +397,11 @@ def test_ttl_sink_all_missing_lang_float_column(ray_session, tmp_path):
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-_RAY_AT_ONE_CPU = """
+_RAY_SCRIPT = """
 import sys
 sys.path.insert(0, {repo!r})
 import ray
-ray.init(address="local", num_cpus=1, include_dashboard=False,
+ray.init(address="local", num_cpus={cpus}, include_dashboard=False,
          logging_level="ERROR", log_to_driver=False,
          object_store_memory=200 * 2**20)
 import ray.data
@@ -411,12 +411,12 @@ from cmc_knowledge_graph_text2ttl_ray.sources.pages import pages_dataset
 """
 
 
-def _run_script(body, env, cwd, timeout):
+def _run_script(body, env, cwd, timeout, cpus=1):
     import subprocess
     import sys
 
     return subprocess.run(
-        [sys.executable, "-c", _RAY_AT_ONE_CPU.format(repo=REPO) + body],
+        [sys.executable, "-c", _RAY_SCRIPT.format(repo=REPO, cpus=cpus) + body],
         env=env, cwd=cwd, capture_output=True, text=True, timeout=timeout)
 
 
@@ -447,6 +447,31 @@ print("TRIPLES=" + json.dumps(out))
     for url, expected in golden.items():
         assert (set(map(tuple, got.get(url, [])))
                 == set(map(tuple, expected["triples"]))), url
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_canonical_hash_tier_build_at_low_cpus(tmp_path, cpus):
+    """A checkpointed build whose canonical rewrite takes the hash-join
+    tier (gate 0) finishes at 1 and 2 Ray CPUs and writes the default
+    build's shards byte for byte (the join's aggregator actors once
+    reserved the CPUs its shuffle tasks needed, and the build stalled)."""
+    proc = _run_script("""
+import glob, os
+from cmc_knowledge_graph_text2ttl_ray.functions import cluster
+
+def shards(out):
+    run_kg_pipeline(pages_dataset(300, override_num_blocks=4), out_dir=out,
+                    num_buckets=8)
+    return {os.path.basename(p): open(p, "rb").read()
+            for p in glob.glob(os.path.join(out, "ttl", "part-*.ttl"))}
+
+default = shards("default")
+cluster.BROADCAST_JOIN_ROWS = 0
+print("SHARDS", len(default), shards("gate0") == default)
+""", env=dict(os.environ, PYTHONPATH=REPO), cwd=str(tmp_path), timeout=150,
+        cpus=cpus)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "SHARDS 8 True" in proc.stdout, proc.stdout[-2000:]
 
 
 def test_unimportable_workers_fail_by_name(tmp_path):
